@@ -17,13 +17,16 @@ using MessageId = std::uint64_t;
 
 struct Flit {
   MessageId msg = 0;
+  std::uint64_t gen_cycle = 0;  ///< cycle the message was generated at the PE
   topo::NodeId src = 0;
   topo::NodeId dest = 0;
   std::uint32_t seq = 0;        ///< index within the message, 0 == head
-  std::uint64_t gen_cycle = 0;  ///< cycle the message was generated at the PE
   bool head = false;
   bool tail = false;
 };
+// Every ring slot and staged slot is a Flit: a field that pads it past 32
+// bytes grows the whole slab and splits flits across cache lines.
+static_assert(sizeof(Flit) == 32, "Flit must stay 32 bytes");
 
 /// A generated message waiting in a source queue; flits are materialised
 /// lazily when the message reaches the head of its injection VC, keeping

@@ -87,57 +87,40 @@ Network::Network(const SimConfig& cfg)
 }
 
 void Network::step_shard(std::size_t s) {
-  // Quiescent routers skip every phase; within the shard each phase runs
-  // list-at-a-time in router-id order, and the barrier between stages keeps
-  // all cross-router interactions on the seed's globally synchronous
-  // schedule: a stage's remote staged writes complete before any shard
-  // enters the stage that could observe their side effects.
+  // Router-major schedule: each active router runs its whole cycle
+  // (Router::step) before the next one starts, in router-id order. That is
+  // bit-identical to running each phase across all routers because no phase
+  // reads state another router's phases write: remote writes go only to
+  // staged slots and wake words, which nothing reads until commit.
   Shard& sh = shards_[s];
   sh.active.clear();
   // The activity scan reads only the two contiguous scheduling arrays — no
   // router object is touched for quiescent ids, so an idle network costs a
-  // pair of streaming array reads per router per cycle.
+  // pair of streaming array reads per router per cycle. A nonzero wake word
+  // here can only be the staged arrivals of a router that was idle last
+  // cycle (every router that stepped cleared its word in commit); applying
+  // them now is the cycle boundary the commit pass skipped for it.
   {
     const std::uint64_t* work = soa_.work.data();
     const std::atomic<std::uint32_t>* wake = soa_.wake.get();
     for (topo::NodeId id = sh.begin; id < sh.end; ++id) {
-      if ((work[id] | wake[id].load(std::memory_order_relaxed)) != 0) {
-        sh.active.push_back(&routers_[id]);
+      if (wake[id].load(std::memory_order_relaxed) != 0) {
+        routers_[id].commit_arrivals();
       }
+      if (work[id] != 0) sh.active.push_back(&routers_[id]);
     }
   }
-  // The build above reads each router's committed occupancy, which the
-  // phases below mutate remotely (staged arrivals/credits) — no shard may
-  // start phasing until every shard has classified its routers.
+  // The scan reads and applies staged slots that the steps below write
+  // remotely — no shard may start stepping until every shard has scanned.
   phase_barrier();
-  for (Router* r : sh.active) r->refill_injection(sh.delta);
+  for (Router* r : sh.active) r->step(sh.delta);
+  // Commit consumes the staged slots every shard wrote during its steps; it
+  // must not start anywhere before stepping ends everywhere. It touches only
+  // the owning router, and only routers that stepped: a router idle this
+  // cycle has no signals, no busy channel to account, and its staged
+  // arrivals wait for the next scan.
   phase_barrier();
-  for (Router* r : sh.active) r->phase_eject(sh.delta);
-  phase_barrier();
-  for (Router* r : sh.active) r->phase_route();
-  phase_barrier();
-  for (Router* r : sh.active) r->phase_vc_alloc();
-  phase_barrier();
-  for (Router* r : sh.active) r->phase_switch(sh.delta);
-  // Commit consumes the staged slots every shard wrote during the phases;
-  // it must not start anywhere before phase_switch ends everywhere.
-  phase_barrier();
-  // A router idle at the cycle start may have received a flit during
-  // phase_switch; its staged arrival must become visible at this boundary
-  // (full commit is unnecessary: it has no signals, and its idle cycle is
-  // already accounted). Commit itself touches only the owning router.
-  std::size_t next_active = 0;
-  const std::atomic<std::uint32_t>* wake = soa_.wake.get();
-  for (topo::NodeId id = sh.begin; id < sh.end; ++id) {
-    Router* r = &routers_[id];
-    if (next_active < sh.active.size() && sh.active[next_active] == r) {
-      r->commit();
-      ++next_active;
-    } else if ((wake[id].load(std::memory_order_relaxed) &
-                Router::kWakeArrivalMask) != 0) {
-      r->commit_arrivals();
-    }
-  }
+  for (Router* r : sh.active) r->commit();
 }
 
 void Network::step(std::uint64_t cycle, Metrics& metrics) {
@@ -202,10 +185,8 @@ std::uint64_t Network::source_backlog() const {
 }
 
 void Network::reset_channel_stats() {
-  std::fill(soa_.flits_sent.begin(), soa_.flits_sent.end(), 0);
-  std::fill(soa_.busy_vc_cycles.begin(), soa_.busy_vc_cycles.end(), 0);
-  std::fill(soa_.busy_vc_sq_cycles.begin(), soa_.busy_vc_sq_cycles.end(), 0);
-  std::fill(soa_.busy_cycles.begin(), soa_.busy_cycles.end(), 0);
+  std::fill(soa_.channel_stats.begin(), soa_.channel_stats.end(),
+            RouterSoA::ChannelStats{});
   soa_.stat_cycles = 0;
 }
 

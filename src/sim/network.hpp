@@ -1,28 +1,30 @@
 // The assembled network: a k-ary n-cube of routers plus the synchronous
-// cycle engine. Phases run across *all* routers before the next phase starts,
-// so every router observes the same globally-consistent start-of-cycle state;
+// cycle engine. Every router observes the same globally-consistent
+// start-of-cycle state: a router's phases read only its own state, and
 // transfers and credit returns staged during a cycle become visible at the
-// next one (Router::commit).
+// next one (Router::commit). So step() runs the routers one after another,
+// each through all five phases (Router::step), in router-id order.
 //
 // Scheduling: step() rebuilds an active-router list each cycle by scanning
 // the arena's two contiguous per-router scheduling words (RouterSoA::work /
-// ::wake — see router.hpp) and runs the five phases only over that list — a
+// ::wake — see router.hpp) and steps and commits only that list — a
 // quiescent router (nothing buffered or staged, empty source queues, no busy
 // output VCs, no pending credit signals) provably performs no work in any
 // phase, so skipping it is bit-identical to running it. Per-port stat_cycles
 // is a single network-global counter advanced once per step (it is uniform
-// across ports by construction). Routers that receive a flit mid-cycle still
-// commit their staged arrivals at the cycle boundary, detected from the wake
-// word's arrival half without touching the router object.
+// across ports by construction). A router idle at the cycle start that
+// receives a flit keeps it staged until the next cycle's scan, which sees
+// the wake word's arrival half and applies it (Router::commit_arrivals)
+// without a pass over the idle routers at the cycle end.
 //
 // Sharding (DESIGN.md §9): with SimConfig::sim_threads > 1 the router-id
-// range splits into contiguous shards, one ThreadTeam member each, and every
-// phase runs shard-parallel with a SpinBarrier between phases. Cross-shard
-// writes land only in single-writer staged slots (read by the owner at
-// commit, after the pre-commit barrier) and relaxed atomic sum counters, and
-// per-shard metric/occupancy deltas replay into Metrics in shard (router-id)
-// order at the cycle boundary — so every result is bit-identical to the
-// serial schedule, for any thread count.
+// range splits into contiguous shards, one ThreadTeam member each. A cycle
+// is scan -> barrier -> step the active routers -> barrier -> commit them.
+// Cross-shard writes land only in single-writer staged slots (read by the
+// owner at commit or at the next scan, after a barrier) and relaxed atomic
+// sum counters, and per-shard metric/occupancy deltas replay into Metrics
+// in shard (router-id) order at the cycle boundary — so every result is
+// bit-identical to the serial schedule, for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -104,9 +106,9 @@ class Network {
     StepDelta delta;              ///< per-cycle metric/occupancy buffer
   };
 
-  /// Runs one full cycle for shard `s`: active-list rebuild, the five phases
-  /// (with a barrier between every stage when sharded) and the commit pass
-  /// over the shard's id range.
+  /// Runs one full cycle for shard `s`: the activity scan, Router::step for
+  /// each active router and the commit pass over the active list, with a
+  /// barrier after the scan and after the steps when sharded.
   void step_shard(std::size_t s);
   void phase_barrier() noexcept {
     if (barrier_) barrier_->arrive_and_wait();

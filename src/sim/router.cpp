@@ -32,12 +32,14 @@ void RouterSoA::init(topo::NodeId routers, int ports_, int vcs_,
   const std::uint32_t cap_inj = pow2_ceil(message_length);
   lane_base.resize(static_cast<std::size_t>(in_lanes));
   lane_mask.resize(static_cast<std::size_t>(in_lanes));
+  lane_port.resize(static_cast<std::size_t>(in_lanes));
   std::uint32_t base = 0;
   for (int p = 0; p <= ports; ++p) {
     const std::uint32_t cap = p == ports ? cap_inj : cap_net;
     for (int v = 0; v < vcs; ++v) {
       lane_base[static_cast<std::size_t>(p * vcs + v)] = base;
       lane_mask[static_cast<std::size_t>(p * vcs + v)] = cap - 1;
+      lane_port[static_cast<std::size_t>(p * vcs + v)] = p;
       base += cap;
     }
   }
@@ -63,10 +65,7 @@ void RouterSoA::init(topo::NodeId routers, int ports_, int vcs_,
   rr_vc.assign(n_ports, 0);
   rr_sw.assign(n_ports, 0);
   busy_now.assign(n_ports, 0);
-  flits_sent.assign(n_ports, 0);
-  busy_vc_cycles.assign(n_ports, 0);
-  busy_vc_sq_cycles.assign(n_ports, 0);
-  busy_cycles.assign(n_ports, 0);
+  channel_stats.assign(n_ports, ChannelStats{});
   req.assign(n_ports * static_cast<std::size_t>(in_lanes), 0);
   req_count.assign(n_ports, 0);
 
@@ -102,6 +101,7 @@ Router::Router(const topo::KAryNCube& net, topo::NodeId id, int vcs,
   active_ = soa_->vc_active.data() + in0;
   lane_base_ = soa_->lane_base.data();
   lane_mask_ = soa_->lane_mask.data();
+  lane_port_ = soa_->lane_port.data();
   slab_ = soa_->slab.data() + r * soa_->slab_stride;
   out_busy_ = soa_->out_busy.data() + out0;
   out_credits_ = soa_->out_credits.data() + out0;
@@ -110,10 +110,7 @@ Router::Router(const topo::KAryNCube& net, topo::NodeId id, int vcs,
   rr_vc_ = soa_->rr_vc.data() + p0;
   rr_sw_ = soa_->rr_sw.data() + p0;
   busy_now_ = soa_->busy_now.data() + p0;
-  flits_sent_ = soa_->flits_sent.data() + p0;
-  busy_vc_cycles_ = soa_->busy_vc_cycles.data() + p0;
-  busy_vc_sq_cycles_ = soa_->busy_vc_sq_cycles.data() + p0;
-  busy_cycles_ = soa_->busy_cycles.data() + p0;
+  stats_ = soa_->channel_stats.data() + p0;
   req_ = soa_->req.data() + p0 * static_cast<std::size_t>(in_lanes_);
   req_count_ = soa_->req_count.data() + p0;
   staged_flit_ = soa_->staged_flit.data() + p0;
@@ -122,9 +119,8 @@ Router::Router(const topo::KAryNCube& net, topo::NodeId id, int vcs,
   wake_ = soa_->wake.get() + r;
 
   down_.assign(static_cast<std::size_t>(net_ports_), nullptr);
-  down_port_.assign(static_cast<std::size_t>(net_ports_), -1);
-  up_router_.assign(static_cast<std::size_t>(net_ports_), nullptr);
-  up_port_.assign(static_cast<std::size_t>(net_ports_), -1);
+  down_link_.resize(static_cast<std::size_t>(net_ports_));
+  up_.resize(static_cast<std::size_t>(net_ports_));
   source_q_.resize(static_cast<std::size_t>(vcs_));
 }
 
@@ -143,12 +139,14 @@ topo::Direction Router::port_dir(int port) const noexcept {
 
 void Router::connect(int out_port, Router* down, int down_port) {
   down_[static_cast<std::size_t>(out_port)] = down;
-  down_port_[static_cast<std::size_t>(out_port)] = down_port;
+  down_link_[static_cast<std::size_t>(out_port)] = {
+      down->staged_flit_ + down_port, down->staged_vc_ + down_port, down->wake_};
 }
 
 void Router::connect_upstream(int in_port, Router* up, int up_port) {
-  up_router_[static_cast<std::size_t>(in_port)] = up;
-  up_port_[static_cast<std::size_t>(in_port)] = up_port;
+  up_[static_cast<std::size_t>(in_port)] = {
+      up->staged_credits_ + up_port * vcs_, up->staged_release_ + up_port * vcs_,
+      up->wake_};
 }
 
 void Router::requesters_insert(int port, std::int32_t index) {
@@ -197,26 +195,28 @@ int Router::vc_class_for(const Flit& head, int dim, topo::Direction dir) const n
   return c > s ? 1 : 0;
 }
 
-Flit Router::pop_and_credit(int port, int vc) {
-  const int lane = in_lane(port, vc);
-  KNC_DEBUG_ASSERT(count_[lane] != 0);
+inline Flit Router::pop_and_credit(int port, int lane) {
+  KNC_DEBUG_ASSERT(lane_port_[lane] == port && count_[lane] != 0);
   const Flit f = ring_pop(lane);
   if (port < net_ports_) {
-    Router* up = up_router_[static_cast<std::size_t>(port)];
-    KNC_DEBUG_ASSERT(up != nullptr);
-    const int up_lane = up_port_[static_cast<std::size_t>(port)] * vcs_ + vc;
-    ++up->staged_credits_[up_lane];
-    up->wake_->fetch_add(kWakeSignalUnit, std::memory_order_relaxed);
+    const UpLink& up = up_[static_cast<std::size_t>(port)];
+    KNC_DEBUG_ASSERT(up.wake != nullptr);
+    const int vc = lane - port * vcs_;
+    ++up.credits[vc];
+    up.wake->fetch_add(kWakeSignalUnit, std::memory_order_relaxed);
     if (f.tail) {
       KNC_DEBUG_ASSERT(count_[lane] == 0);  // tail is the last flit
-      up->staged_release_[up_lane] = 1;
+      up.release[vc] = 1;
       active_[lane] = 0;
     }
   }
   return f;
 }
 
-void Router::refill_injection(StepDelta& delta) {
+// The five phases are defined inline ahead of step(), their only caller, so
+// the compiler folds them into one function body.
+inline void Router::refill_injection(StepDelta& delta) {
+  if (source_total_ == 0) return;  // every source queue is empty
   const int lane0 = injection_port() * vcs_;
   for (int v = 0; v < vcs_; ++v) {
     const int lane = lane0 + v;
@@ -241,21 +241,22 @@ void Router::refill_injection(StepDelta& delta) {
   }
 }
 
-void Router::phase_eject(StepDelta& delta) {
+inline void Router::phase_eject(StepDelta& delta) {
   // Unlimited ejection bandwidth (assumption iv): drain every destined flit
   // at a buffer head this cycle. Flits of one message arrive in order on a
   // single VC, so draining per-VC preserves message ordering.
-  const int net_lanes = net_ports_ * vcs_;
-  for (int lane = 0; lane < net_lanes; ++lane) {
-    while (count_[lane] != 0 && ring_front(lane).dest == id_) {
-      const Flit f = pop_and_credit(lane / vcs_, lane % vcs_);
-      ++delta.flits_delivered;
-      if (f.tail) delta.delivered.push_back({f.msg, f.gen_cycle, f.dest});
+  for (int port = 0, lane = 0; port < net_ports_; ++port) {
+    for (int v = 0; v < vcs_; ++v, ++lane) {
+      while (count_[lane] != 0 && ring_front(lane).dest == id_) {
+        const Flit f = pop_and_credit(port, lane);
+        ++delta.flits_delivered;
+        if (f.tail) delta.delivered.push_back({f.msg, f.gen_cycle, f.dest});
+      }
     }
   }
 }
 
-void Router::phase_route() {
+inline void Router::phase_route() {
   // Batch candidate scan over the contiguous lane arrays (integer predicate,
   // auto-vectorizable); the routing computation itself runs per candidate in
   // ascending lane order, which is exactly the original visit order.
@@ -273,14 +274,15 @@ void Router::phase_route() {
   }
 }
 
-void Router::phase_vc_alloc() {
+inline void Router::phase_vc_alloc() {
   // Round-robin over the input VCs requesting each output port, with the
   // seed semantics preserved exactly: the original loop visited
   // i = (rr_vc + off) % total_vcs for off = 0..total_vcs-1, re-reading rr_vc
   // each iteration while grants mutate it (a grant at (i, off) moves the
   // next visit to i + off + 2). Non-requesters can never be granted, so the
   // walk below jumps between requesters (sorted by index) while replaying
-  // the identical (i, off) sequence.
+  // the identical (i, off) sequence. Indices stay in [0, total_vcs), so
+  // every modulo reduces to compare-and-subtract.
   const int total_vcs = in_lanes_;
   for (int op_idx = 0; op_idx < net_ports_; ++op_idx) {
     const std::int32_t* seg = req_ + static_cast<std::size_t>(op_idx) * in_lanes_;
@@ -293,7 +295,7 @@ void Router::phase_vc_alloc() {
       // Next requester at or cyclically after i.
       const std::int32_t* it = std::lower_bound(seg, seg + n, i);
       const int j = it == seg + n ? seg[0] : *it;
-      off += (j - i + total_vcs) % total_vcs;
+      off += j >= i ? j - i : j - i + total_vcs;
       if (off >= total_vcs) break;
       i = j;
       KNC_DEBUG_ASSERT(route_[i] == op_idx);
@@ -315,17 +317,20 @@ void Router::phase_vc_alloc() {
         ++busy_now_[op_idx];
         ++busy_out_;
         ++*work_;
-        rr_vc_[op_idx] = static_cast<std::uint32_t>((i + 1) % total_vcs);
-        i = (i + off + 2) % total_vcs;
+        rr_vc_[op_idx] = static_cast<std::uint32_t>(
+            i + 1 == total_vcs ? 0 : i + 1);
+        i += off + 2;  // <= 2 * total_vcs
+        if (i >= total_vcs) i -= total_vcs;
+        if (i >= total_vcs) i -= total_vcs;
       } else {
-        i = (i + 1) % total_vcs;
+        i = i + 1 == total_vcs ? 0 : i + 1;
       }
       ++off;
     }
   }
 }
 
-void Router::phase_switch(StepDelta& delta) {
+inline void Router::phase_switch(StepDelta& delta) {
   const int total_vcs = in_lanes_;
   for (int op_idx = 0; op_idx < net_ports_; ++op_idx) {
     const std::int32_t* seg = req_ + static_cast<std::size_t>(op_idx) * in_lanes_;
@@ -347,18 +352,16 @@ void Router::phase_switch(StepDelta& delta) {
       const int out_vc = outvc_[i];
       if (out_credits_[op_idx * vcs_ + out_vc] <= 0) continue;
 
-      const int port = i / vcs_;
-      const int vc = i % vcs_;
-      const Flit f = pop_and_credit(port, vc);
+      const int port = lane_port_[i];
+      const Flit f = pop_and_credit(port, i);
       --out_credits_[op_idx * vcs_ + out_vc];
-      ++flits_sent_[op_idx];
-      Router* down = down_[static_cast<std::size_t>(op_idx)];
-      KNC_DEBUG_ASSERT(down != nullptr);
-      const int down_port = down_port_[static_cast<std::size_t>(op_idx)];
-      KNC_DEBUG_ASSERT(down->staged_vc_[down_port] < 0);
-      down->staged_flit_[down_port] = f;
-      down->staged_vc_[down_port] = out_vc;
-      down->wake_->fetch_add(1, std::memory_order_relaxed);
+      ++stats_[op_idx].flits_sent;
+      const DownLink& down = down_link_[static_cast<std::size_t>(op_idx)];
+      KNC_DEBUG_ASSERT(down.wake != nullptr);
+      KNC_DEBUG_ASSERT(*down.vc < 0);
+      *down.flit = f;
+      *down.vc = out_vc;
+      down.wake->fetch_add(1, std::memory_order_relaxed);
 
       if (port == injection_port() && f.head) {
         delta.injected.push_back({f.msg, f.gen_cycle});
@@ -370,10 +373,18 @@ void Router::phase_switch(StepDelta& delta) {
         outvc_[i] = -1;
         requesters_erase(op_idx, i);
       }
-      rr_sw_[op_idx] = static_cast<std::uint32_t>((i + 1) % total_vcs);
+      rr_sw_[op_idx] = static_cast<std::uint32_t>(i + 1 == total_vcs ? 0 : i + 1);
       break;  // physical channel bandwidth: one flit per cycle
     }
   }
+}
+
+void Router::step(StepDelta& delta) {
+  refill_injection(delta);
+  phase_eject(delta);
+  phase_route();
+  phase_vc_alloc();
+  phase_switch(delta);
 }
 
 void Router::apply_staged_arrivals() {
@@ -397,11 +408,10 @@ void Router::apply_staged_arrivals() {
 }
 
 void Router::commit_arrivals() {
-  const std::uint32_t w = wake_->load(std::memory_order_relaxed);
-  if ((w & kWakeArrivalMask) == 0) return;
-  // A router quiescent at the cycle start had no busy output VCs, so no
-  // downstream neighbour can have staged credits or releases at it.
-  KNC_DEBUG_ASSERT(w < kWakeSignalUnit);
+  // A router quiescent at the start of the cycle that staged these arrivals
+  // had no busy output VCs, so no downstream neighbour can have staged
+  // credits or releases at it: the wake word holds arrivals only.
+  KNC_DEBUG_ASSERT(wake_->load(std::memory_order_relaxed) < kWakeSignalUnit);
   apply_staged_arrivals();
   wake_->store(0, std::memory_order_relaxed);
 }
@@ -434,13 +444,14 @@ void Router::commit() {
   // 3. Channel occupancy statistics (stat_cycles is network-global; a
   //    quiescent router provably has busy_now == 0 on every port, so
   //    skipping commit entirely for it changes nothing here).
+  if (busy_out_ == 0) return;  // every busy_now_ is 0
   for (int p = 0; p < net_ports_; ++p) {
     KNC_DEBUG_ASSERT(busy_now_[p] >= 0);
     const auto busy = static_cast<std::uint64_t>(busy_now_[p]);
     if (busy) {
-      busy_vc_cycles_[p] += busy;
-      busy_vc_sq_cycles_[p] += busy * busy;
-      ++busy_cycles_[p];
+      stats_[p].busy_vc_cycles += busy;
+      stats_[p].busy_vc_sq_cycles += busy * busy;
+      ++stats_[p].busy_cycles;
     }
   }
 }
@@ -476,16 +487,15 @@ Router::OutputPort Router::output_port(int port) const {
                                            out_credits_[port * vcs_ + v]};
   }
   op.down = down_[static_cast<std::size_t>(port)];
-  op.down_port = down_port_[static_cast<std::size_t>(port)];
   op.rr_vc = rr_vc_[port];
   op.rr_sw = rr_sw_[port];
   op.busy_now = busy_now_[port];
   const std::int32_t* seg = req_ + static_cast<std::size_t>(port) * in_lanes_;
   op.requesters.assign(seg, seg + req_count_[port]);
-  op.flits_sent = flits_sent_[port];
-  op.busy_vc_cycles = busy_vc_cycles_[port];
-  op.busy_vc_sq_cycles = busy_vc_sq_cycles_[port];
-  op.busy_cycles = busy_cycles_[port];
+  op.flits_sent = stats_[port].flits_sent;
+  op.busy_vc_cycles = stats_[port].busy_vc_cycles;
+  op.busy_vc_sq_cycles = stats_[port].busy_vc_sq_cycles;
+  op.busy_cycles = stats_[port].busy_cycles;
   op.stat_cycles = soa_->stat_cycles;
   return op;
 }

@@ -6,9 +6,10 @@
 //     backpressure;
 //   * one injection input port (V VCs fed from per-VC infinite source
 //     queues; a queued message's flits materialise lazily);
-//   * per-cycle phases: eject -> route -> VC allocation -> switch allocation
-//     -> transfer; transfers, credits and VC releases become visible at the
-//     next cycle boundary (commit), keeping the network synchronous;
+//   * one cycle of one router is Router::step: injection refill -> eject ->
+//     route -> VC allocation -> switch allocation and transfer; transfers,
+//     credits and VC releases become visible at the next cycle boundary
+//     (commit), keeping the network synchronous;
 //   * the crossbar is non-blocking on inputs ("can simultaneously connect
 //     multiple incoming to multiple outgoing channels", §2); the only
 //     bandwidth limit is one flit per output physical channel per cycle,
@@ -27,8 +28,8 @@
 // Hot-loop layout (DESIGN.md §6, §12): ALL mutable router state lives in a
 // network-wide structure-of-arrays arena (RouterSoA). Each field is one
 // contiguous array over (router, lane) with a uniform per-router stride, so
-// every phase is a batch loop over a router's contiguous lane range — no
-// pointer chasing, no per-port heap vectors — and the compiler can
+// every phase of step() is a batch loop over the router's contiguous lane
+// range — no pointer chasing, no per-port heap vectors — and the compiler can
 // auto-vectorise the predicate scans (an explicit-width arrival kernel
 // rides the same layout, see sim/arrival_batch.hpp). A Router object is a
 // *view*: id, wiring, cached pointers to its slice of the arena, and the
@@ -40,17 +41,20 @@
 //   * work  — owner-written sum of buffered flits, queued source messages
 //             and busy output VCs;
 //   * wake  — a relaxed atomic bumped by *neighbours*: staged-arrival count
-//             in the low half (downstream stages an arrival during
-//             phase_switch), pending credit/release signals in the high half
-//             (upstream pops a flit). Both halves are interleaving-
-//             independent sums, so the word is bit-deterministic under
-//             sharding.
+//             in the low half (an upstream router stages a flit here in its
+//             switch phase), pending credit/release signals in the high half
+//             (a downstream router pops a flit this router sent). Both
+//             halves are interleaving-independent sums, so the word is
+//             bit-deterministic under sharding.
 // quiescent() is (work | wake) == 0, and Network::step scans the two
-// contiguous arrays instead of touching router objects. Per-port
-// stat_cycles is not stored at all: every router advances it exactly once
-// per cycle (commit when active, idle accounting otherwise), so the value
-// is a single network-global cycles-since-reset counter (RouterSoA::
-// stat_cycles) that snapshots report per port.
+// contiguous arrays instead of touching router objects. A router that
+// stepped this cycle applies its staged arrivals in commit(); one that was
+// idle keeps them staged until the next cycle's activity scan applies them
+// (commit_arrivals), and buffered_flits() counts them in either state.
+// Per-port stat_cycles is not stored at all: every router advances it
+// exactly once per cycle (commit when active, idle accounting otherwise), so
+// the value is a single network-global cycles-since-reset counter
+// (RouterSoA::stat_cycles) that snapshots report per port.
 #pragma once
 
 #include <atomic>
@@ -90,9 +94,11 @@ struct RouterSoA {
   std::vector<std::uint8_t> vc_active;  ///< message resident (head..tail)
 
   /// Ring geometry per *local* lane (identical for every router): base
-  /// offset inside the router's slab block and pow2 capacity mask.
+  /// offset inside the router's slab block, pow2 capacity mask, and the
+  /// input port the lane belongs to (lane / vcs without a division).
   std::vector<std::uint32_t> lane_base;
   std::vector<std::uint32_t> lane_mask;
+  std::vector<std::int32_t> lane_port;
 
   std::vector<Flit> slab;  ///< all rings of all routers, one array
 
@@ -106,10 +112,15 @@ struct RouterSoA {
   std::vector<std::uint32_t> rr_vc;  ///< VC-allocation round-robin cursor
   std::vector<std::uint32_t> rr_sw;  ///< switch-allocation round-robin cursor
   std::vector<std::int32_t> busy_now;
-  std::vector<std::uint64_t> flits_sent;
-  std::vector<std::uint64_t> busy_vc_cycles;
-  std::vector<std::uint64_t> busy_vc_sq_cycles;
-  std::vector<std::uint64_t> busy_cycles;
+  /// Channel statistics since the last reset_channel_stats, one record per
+  /// port so a router's counters share a cache line or two.
+  struct ChannelStats {
+    std::uint64_t flits_sent = 0;
+    std::uint64_t busy_vc_cycles = 0;     ///< sum over cycles of busy-VC count
+    std::uint64_t busy_vc_sq_cycles = 0;  ///< sum of squared busy-VC count
+    std::uint64_t busy_cycles = 0;        ///< cycles with >= 1 busy VC
+  };
+  std::vector<ChannelStats> channel_stats;
   /// Sorted requester lists, flattened: segment of capacity `in_lanes` per
   /// (router, port) at (r * ports + p) * in_lanes, length in req_count.
   std::vector<std::int32_t> req;
@@ -158,12 +169,10 @@ class Router {
     int credits = 0;    ///< free flit slots in the downstream buffer
   };
 
-  /// Snapshot of one output port (tests / statistics): same fields and
-  /// derived quantities as the pre-SoA live struct.
+  /// Snapshot of one output port (tests / statistics).
   struct OutputPort {
     std::vector<OutputVc> vcs;
     Router* down = nullptr;
-    int down_port = -1;
     std::uint32_t rr_vc = 0;  ///< round-robin cursor, VC allocation
     std::uint32_t rr_sw = 0;  ///< round-robin cursor, switch allocation
     std::int32_t busy_now = 0;  ///< busy VCs, maintained incrementally
@@ -210,25 +219,30 @@ class Router {
     return down_[static_cast<std::size_t>(out_port)];
   }
 
-  // --- per-cycle phases (invoked by Network in order, across all routers) ---
-  // Metric events and occupancy deltas accumulate into the caller's StepDelta
-  // (the shard's buffer) instead of hitting Metrics directly; Network::step
-  // replays the buffers in router-id order at the cycle boundary, so the
-  // sharded and serial schedules produce the same Metrics call sequence.
-  // Thread-safety contract under sharding: a phase writes remote routers only
+  // --- per-cycle work (invoked by Network, one active router at a time) ---
+  // step() runs this router's whole cycle: refill -> eject -> route ->
+  // VC allocation -> switch. Network::step_shard calls it for every active
+  // router in router-id order, then, after a barrier, commit() for the same
+  // list. Metric events and occupancy deltas accumulate into the caller's
+  // StepDelta (the shard's buffer) instead of hitting Metrics directly;
+  // Network::step replays the buffers in router-id order at the cycle
+  // boundary, so the sharded and serial schedules produce the same Metrics
+  // call sequence.
+  // Thread-safety contract under sharding: step() writes remote routers only
   // through single-writer staged slots (arrivals, credits, releases — one
   // upstream/downstream owner per slot) plus the relaxed atomic wake words,
   // and never *reads* remote state; staged data is consumed only by the
-  // owner's commit, after the pre-commit barrier.
-  void refill_injection(StepDelta& delta);
-  void phase_eject(StepDelta& delta);
-  void phase_route();
-  void phase_vc_alloc();
-  void phase_switch(StepDelta& delta);
+  // owner's commit (after the post-step barrier) or commit_arrivals (at the
+  // next cycle's activity scan). Since no phase reads what another router's
+  // phases write, running one router's five phases back to back gives the
+  // same state as running each phase across all routers.
+  void step(StepDelta& delta);
+  /// Cycle boundary of a router that stepped: staged arrivals, credits and
+  /// releases become visible and channel occupancy statistics advance.
   void commit();
-  /// Commit restricted to staged arrivals: run for routers that were
-  /// quiescent at the cycle start but received a flit during phase_switch
-  /// (a quiescent router can have no staged credits or releases).
+  /// Applies staged arrivals only: run by the activity scan for a router
+  /// that was quiescent at the previous cycle start but received a flit in
+  /// that cycle (a quiescent router can have no staged credits or releases).
   void commit_arrivals();
 
   // --- idle scheduling (Network::step) ---
@@ -238,9 +252,6 @@ class Router {
   /// straight from the arena without touching the Router object.
   bool quiescent() const noexcept {
     return *work_ == 0 && wake_->load(std::memory_order_relaxed) == 0;
-  }
-  bool has_staged_arrivals() const noexcept {
-    return (wake_->load(std::memory_order_relaxed) & kWakeArrivalMask) != 0;
   }
 
   // --- source side ---
@@ -296,9 +307,16 @@ class Router {
   int vc_class_for(const Flit& head, int dim, topo::Direction dir) const noexcept;
   int class_vc_begin(int cls) const noexcept;
   int class_vc_end(int cls) const noexcept;
-  /// Pops the front flit of input lane (port, vc) returning credit (and, on
-  /// tail, release) to the upstream output VC.
-  Flit pop_and_credit(int port, int vc);
+  // The phases of step(), in order.
+  void refill_injection(StepDelta& delta);
+  void phase_eject(StepDelta& delta);
+  void phase_route();
+  void phase_vc_alloc();
+  void phase_switch(StepDelta& delta);
+
+  /// Pops the front flit of input `lane` (of input `port`) returning credit
+  /// (and, on tail, release) to the upstream output VC.
+  Flit pop_and_credit(int port, int lane);
   /// Applies the staged arrival slots (wake low half already checked).
   void apply_staged_arrivals();
 
@@ -319,6 +337,7 @@ class Router {
   std::uint8_t* active_ = nullptr;
   const std::uint32_t* lane_base_ = nullptr;  ///< shared, local-lane indexed
   const std::uint32_t* lane_mask_ = nullptr;  ///< shared, local-lane indexed
+  const std::int32_t* lane_port_ = nullptr;   ///< shared, local-lane indexed
   Flit* slab_ = nullptr;                      ///< this router's slab block
   std::uint8_t* out_busy_ = nullptr;
   std::int32_t* out_credits_ = nullptr;
@@ -327,10 +346,7 @@ class Router {
   std::uint32_t* rr_vc_ = nullptr;
   std::uint32_t* rr_sw_ = nullptr;
   std::int32_t* busy_now_ = nullptr;
-  std::uint64_t* flits_sent_ = nullptr;
-  std::uint64_t* busy_vc_cycles_ = nullptr;
-  std::uint64_t* busy_vc_sq_cycles_ = nullptr;
-  std::uint64_t* busy_cycles_ = nullptr;
+  RouterSoA::ChannelStats* stats_ = nullptr;  ///< per port
   std::int32_t* req_ = nullptr;        ///< ports segments of in_lanes_ each
   std::int32_t* req_count_ = nullptr;  ///< per port
   Flit* staged_flit_ = nullptr;        ///< per input port
@@ -339,9 +355,24 @@ class Router {
   std::atomic<std::uint32_t>* wake_ = nullptr;
 
   std::vector<Router*> down_;      ///< per network output port
-  std::vector<int> down_port_;
-  std::vector<Router*> up_router_; ///< per network input port
-  std::vector<int> up_port_;
+  // Neighbour staging addresses, cached at wiring time so a transfer or a
+  // credit return writes the arena directly instead of first reading the
+  // neighbour's Router object.
+  /// Where a transfer out of each network output port is staged downstream.
+  struct DownLink {
+    Flit* flit = nullptr;
+    std::int32_t* vc = nullptr;
+    std::atomic<std::uint32_t>* wake = nullptr;
+  };
+  std::vector<DownLink> down_link_;
+  /// Where each network input port returns credits and releases upstream
+  /// (`credits` and `release` point at the upstream port's VC 0).
+  struct UpLink {
+    std::uint16_t* credits = nullptr;
+    std::uint8_t* release = nullptr;
+    std::atomic<std::uint32_t>* wake = nullptr;
+  };
+  std::vector<UpLink> up_;
 
   std::vector<std::deque<QueuedMessage>> source_q_;  ///< one per injection VC
   std::uint32_t next_inject_vc_ = 0;

@@ -335,6 +335,40 @@ TEST(DeterminismGolden, HotspotK32Sharded) {
             0x1.c22804f36aa5cp+5, 0x1.ba78e216b0fe8p+5});
 }
 
+/// The paper's §4 validation scenario (Figs. 1–2, examples/specs/
+/// hotspot_torus.spec): 16x16 unidirectional torus, h = 0.2, V = 2, depth-2
+/// buffers, at message length `lm` and injection rate `lambda`.
+SimConfig paper_config(int lm, double lambda) {
+  SimConfig cfg;
+  cfg.k = 16;
+  cfg.n = 2;
+  cfg.bidirectional = false;
+  cfg.vcs = 2;
+  cfg.buffer_depth = 2;
+  cfg.message_length = lm;
+  cfg.pattern = Pattern::kHotspot;
+  cfg.hot_fraction = 0.2;
+  cfg.injection_rate = lambda;
+  cfg.seed = 7621;  // the spec file's measure.seed
+  return cfg;
+}
+
+TEST(DeterminismGolden, PaperTorusK16Lm32) {
+  // Fig. 1 curve at about two thirds of the model's saturation rate: the
+  // headline workload itself, with 4 threads giving 64-router shards.
+  run_case("PaperTorusK16Lm32", paper_config(32, 3e-4), 20000,
+           {1593u, 1583u, 50778u, 198u, 0u, 0xc1530061650fc5a6ULL,
+            0x1.c6687851818a2p+5, 0x1.bc89c8b13e432p+5});
+}
+
+TEST(DeterminismGolden, PaperTorusK16Lm100) {
+  // Fig. 2 curve: 100-flit worms span many routers at once, so requester
+  // lists, credits and VC releases stay busy across shard boundaries.
+  run_case("PaperTorusK16Lm100", paper_config(100, 1e-4), 20000,
+           {545u, 537u, 53799u, 701u, 0u, 0x449926932be2bce1ULL,
+            0x1.3275461405b86p+7, 0x1.24bdbc4e2eb81p+7});
+}
+
 TEST(DeterminismGolden, MeshReplicationBitIdenticalAcrossThreadCountsAndRuns) {
   // The mesh goldens above pin one process; this pins the *measurement
   // subsystem* over the mesh: ReplicationRunner aggregates must be

@@ -96,6 +96,47 @@ TEST(Network, InflightAndBacklogAccounting) {
   EXPECT_EQ(sim.metrics().delivered_total(), 3u);
 }
 
+TEST(Network, ArrivalAtAnIdleRouterIsAppliedAtTheNextCycle) {
+  // Only routers that stepped run the cycle-end commit. A flit staged at a
+  // router that was idle at the cycle start stays in its staged slot until
+  // the next cycle's activity scan applies it, and the occupancy counters
+  // must see it in both places.
+  const SimConfig cfg = tiny_config();  // Lm = 4
+  Simulator sim(cfg);
+  sim.metrics().begin_measurement(0);
+  const Network& net = sim.network();
+  const Router& r1 = net.router(1);
+  sim.inject_now(0, 2);  // two hops along dimension 0: 0 -> 1 -> 2
+
+  // Cycle 0: router 0 materialises the message and sends the head to
+  // router 1 (input port 0, VC 0), which was quiescent.
+  sim.step_cycles(1);
+  EXPECT_EQ(r1.buffered_flits(), 1u);
+  EXPECT_EQ(r1.input_vc(0, 0).count, 0u);  // still staged
+  EXPECT_FALSE(r1.input_vc(0, 0).active);
+  EXPECT_EQ(net.inflight_flits(), 4u);  // the whole message, staged head too
+  std::uint64_t scanned = 0;
+  for (topo::NodeId id = 0; id < net.size(); ++id) {
+    scanned += net.router(id).buffered_flits();
+  }
+  EXPECT_EQ(scanned, 4u);
+
+  // Cycle 1: the scan applies the head, router 1 routes it, allocates a VC
+  // and forwards it; the body flit sent this cycle commits into the ring.
+  sim.step_cycles(1);
+  EXPECT_EQ(net.inflight_flits(), 4u);
+  const Router::InputVc in = r1.input_vc(0, 0);
+  EXPECT_TRUE(in.active);
+  EXPECT_EQ(in.route_out, r1.out_port_for(0, topo::Direction::kPlus));
+  EXPECT_EQ(in.out_vc, 0);
+  EXPECT_EQ(in.count, 1u);
+  EXPECT_EQ(net.router(2).buffered_flits(), 1u);  // head staged at router 2
+
+  sim.step_cycles(20);
+  EXPECT_EQ(sim.metrics().delivered_total(), 1u);
+  EXPECT_EQ(net.inflight_flits(), 0u);
+}
+
 TEST(Network, ResetChannelStatsZeroesCounters) {
   const SimConfig cfg = tiny_config();
   Simulator sim(cfg);
