@@ -63,9 +63,10 @@ struct PointResult {
 
 /// Runs `lambdas` through the dispatched analytical model and (when
 /// `run_sim`) the simulator. Convenience wrapper over a one-shot
-/// core::SweepEngine (see core/sweep_engine.hpp): points execute in parallel
-/// on the global thread pool and come back in input order, with per-point
-/// derived seeds so series are reproducible regardless of scheduling.
+/// core::SweepEngine (see core/sweep_engine.hpp): model points are solved in
+/// input order, simulations run in parallel on the global thread pool, and
+/// points come back in input order, with per-point derived seeds so series
+/// are reproducible regardless of scheduling.
 /// Callers issuing repeated or overlapping sweeps should hold a SweepEngine
 /// to reuse its memoization.
 std::vector<PointResult> run_series(const ScenarioSpec& spec,

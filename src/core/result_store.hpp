@@ -14,11 +14,12 @@
 //    (non-negative doubles order the same by bits and by value, which the
 //    warm-start predecessor lookup relies on), seed the simulator seed.
 //  * Stored values are returned bit-identical to what was stored. Warm
-//    solves are bit-identical to cold ones (model/solver.hpp polishes
-//    converged iterates to exact stationarity), so answers served from a
-//    store — including one written by a previous process — are bit-identical
-//    to a cold in-process computation. tests/service/disk_store_test pins
-//    this across a store reopen.
+//    solves are bit-identical to cold ones in every field but `iterations`
+//    (model/solver.hpp polishes converged iterates to exact stationarity),
+//    so answers served from a store — including one written by a previous
+//    process — are bit-identical to a cold in-process computation apart
+//    from that sweep count. tests/service/disk_store_test pins this across
+//    a store reopen.
 //  * Implementations are internally synchronized: any method may be called
 //    from any thread (SweepEngine batches points onto the global pool, and
 //    the daemon shares one store across connections).

@@ -59,9 +59,9 @@ model::ModelResult SweepEngine::model_point(double lambda) {
   bool owner = false;
   // Warm-start source: the nearest cached stable solve at or below lambda
   // (the IEEE-754 bit pattern of a non-negative double is monotone in its
-  // value, so the store's key order is ascending lambda). Whatever state the
-  // lookup races to see, the result is the same bits (warm starts are
-  // bit-exact accelerators).
+  // value, so the store's key order is ascending lambda). Every field but
+  // `iterations` is the same bits whichever state the lookup finds; run()
+  // calls this in input order so that `iterations` is schedule-free too.
   std::vector<double> warm;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -149,21 +149,32 @@ sim::SimResult SweepEngine::sim_point(double lambda, std::uint64_t seed) {
   return r;
 }
 
+// Model solves run sequentially so that each one's warm-start source is
+// the store's content at batch start plus the points before it; solved
+// concurrently, a point's `iterations` would depend on which neighbour
+// finished first. The model takes milliseconds a point; the simulations,
+// seeded per index and so schedule-free already, keep the pool.
 std::vector<PointResult> SweepEngine::run(const std::vector<double>& lambdas,
-                                          bool run_sim) {
+                                          bool run_sim,
+                                          const PointCallback& on_point) {
   std::vector<PointResult> results(lambdas.size());
-  util::parallel_for(lambdas.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < lambdas.size(); ++i) {
     PointResult& pt = results[i];
     pt.lambda = lambdas[i];
     if (model_) {
       pt.model = model_point(pt.lambda);
       pt.has_model = true;
     }
-    if (run_sim) {
+    if (!run_sim && on_point) on_point(i, pt);
+  }
+  if (run_sim) {
+    util::parallel_for(lambdas.size(), [&](std::size_t i) {
+      PointResult& pt = results[i];
       pt.sim = sim_point(pt.lambda, point_seed(i));
       pt.has_sim = true;
-    }
-  });
+      if (on_point) on_point(i, pt);
+    });
+  }
   return results;
 }
 

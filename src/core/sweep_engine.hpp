@@ -9,9 +9,10 @@
 // every model_point goes through that polymorphic interface; sim-only specs
 // (permutation patterns, MMPP arrivals, bidirectional links, n ≠ 2 tori,
 // faulty networks) still run simulations through the same engine with the
-// model side reported absent. Points are batched across the global thread
-// pool (util/thread_pool, KNCUBE_THREADS), simulator seeds are derived
-// per-point so series are reproducible regardless of scheduling, and
+// model side reported absent. A batch solves its model points in input
+// order on the calling thread, then fans its simulations out across the
+// global thread pool (util/thread_pool, KNCUBE_THREADS); simulator seeds are
+// derived per-point so series are reproducible regardless of scheduling, and
 // repeated points are memoized through a pluggable ResultStore
 // (core/result_store.hpp):
 //
@@ -27,8 +28,8 @@
 // The default store is a private in-memory map (the engine behaves exactly
 // as it always did); passing a shared store — in particular the disk-backed
 // service::DiskResultStore — makes cached answers outlive the engine and
-// the process. Stored results are returned bit-identical to the cold
-// computation, so a store hit is indistinguishable from solving again.
+// the process. Stored results are returned bit-identical to what was
+// stored, so a store hit is indistinguishable from the solve that filled it.
 //
 // Concurrent identical requests are deduplicated in flight: when a point
 // misses the store but another thread is already computing that exact key,
@@ -43,19 +44,28 @@
 // stable bracket end. The solver falls back to the zero-load start whenever
 // a warm start fails, and converged iterates are polished to the map's exact
 // stationary point (model/solver.hpp), so any solve that converges returns
-// the same bits no matter where it started or which cached state seeded it —
-// including states loaded from a previous process's disk store. One caveat
-// keeps this empirical rather than by-construction: a point whose cold
-// iteration would exhaust its budget without diverging could in principle
-// still converge from a warm seed (warm starting can only *add* converged
-// points, never lose or alter one); no such budget-marginal point has been
-// observed in this model family, and tests/model/warm_start_test pins
-// warm-on/warm-off equivalence across sweeps including the knee.
+// the same bits in every ModelResult field except `iterations`, no matter
+// where it started or which cached state seeded it — including states
+// loaded from a previous process's disk store. `iterations` counts the
+// sweeps *this* solve took, so it depends on the seed. Because run() solves
+// its model points in input order, each point's seed is fixed by what the
+// store held when the batch started and by the batch itself — never by the
+// thread schedule — and a batch equals the same model_point calls made one
+// by one (tests/core/sweep_engine_test). Concurrent batches on one engine
+// or store (two daemon clients on one spec) can still see each other's
+// solves, so their `iterations` may differ from a lone run's. One caveat
+// keeps the bit-identity empirical rather than by-construction: a point
+// whose cold iteration would exhaust its budget without diverging could in
+// principle still converge from a warm seed (warm starting can only *add*
+// converged points, never lose or alter one); no such budget-marginal point
+// has been observed in this model family, and tests/model/warm_start_test
+// pins warm-on/warm-off equivalence across sweeps including the knee.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -94,11 +104,20 @@ class SweepEngine {
   /// The dispatched model; throws std::logic_error for sim-only specs.
   const model::AnalyticalModel& analytical_model() const;
 
+  /// Called with (index, point) as each point of a run() completes.
+  using PointCallback = std::function<void(std::size_t, const PointResult&)>;
+
   /// Runs `lambdas` through the model (when one exists) and (when `run_sim`)
-  /// the simulator. Points execute in parallel on the global thread pool;
-  /// results come back in input order.
+  /// the simulator; results come back in input order. Model points are
+  /// solved one at a time in input order on the calling thread, so each
+  /// warm-start source is fixed by the store's contents when the batch
+  /// starts and by the batch itself (see the header comment); the
+  /// simulations then run in parallel on the global thread pool. `on_point` (optional) streams each finished point: in input order
+  /// on the calling thread when !run_sim, otherwise from pool threads,
+  /// concurrently and in completion order.
   std::vector<PointResult> run(const std::vector<double>& lambdas,
-                               bool run_sim = true);
+                               bool run_sim = true,
+                               const PointCallback& on_point = nullptr);
 
   /// One model evaluation, memoized through the store and deduplicated
   /// against identical in-flight solves. Throws std::logic_error for
@@ -141,8 +160,9 @@ class SweepEngine {
   void clear_cache();
 
   /// Disables/enables warm-started model solves (default on). Results are
-  /// bit-identical either way (see the header comment); the toggle exists
-  /// for benchmarking and for the tests that verify that very claim.
+  /// bit-identical either way except for `iterations` (see the header
+  /// comment); the toggle exists for benchmarking and for the tests that
+  /// verify that very claim.
   void set_warm_start(bool enabled) noexcept { warm_start_ = enabled; }
   bool warm_start() const noexcept { return warm_start_; }
 

@@ -71,7 +71,8 @@ class HotspotModel {
   /// fixed-point iteration with a converged channel-class state from a
   /// nearby operating point; on any warm failure the solver falls back to
   /// the zero-load start, so classification matches the cold path, and a
-  /// successful warm solve is bit-identical to the cold one (the solver
+  /// successful warm solve is bit-identical to the cold one in every field
+  /// but `iterations`, which counts this solve's own sweeps (the solver
   /// polishes converged iterates to the map's exact stationary point).
   /// `converged_state` (optional) receives the converged iterate for
   /// chaining; it is left empty when the point is saturated.

@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -288,6 +289,46 @@ TEST(SweepEngine, SharedStoreServesASecondEngineWithoutResolving) {
   EXPECT_EQ(stats.model_hits, 1u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(warm.latency),
             std::bit_cast<std::uint64_t>(cold.latency));
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+void expect_same_model_result(const model::ModelResult& a,
+                              const model::ModelResult& b) {
+  EXPECT_EQ(bits(a.latency), bits(b.latency));
+  EXPECT_EQ(a.saturated, b.saturated);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(bits(a.regular_latency), bits(b.regular_latency));
+  EXPECT_EQ(bits(a.hot_latency), bits(b.hot_latency));
+  EXPECT_EQ(bits(a.regular_network_latency), bits(b.regular_network_latency));
+  EXPECT_EQ(bits(a.source_wait_regular), bits(b.source_wait_regular));
+  EXPECT_EQ(bits(a.vc_mux_x), bits(b.vc_mux_x));
+  EXPECT_EQ(bits(a.vc_mux_hot_y), bits(b.vc_mux_hot_y));
+  EXPECT_EQ(bits(a.vc_mux_nonhot_y), bits(b.vc_mux_nonhot_y));
+  EXPECT_EQ(bits(a.max_channel_utilization), bits(b.max_channel_utilization));
+}
+
+TEST(SweepEngine, RunMatchesSequentialModelPointsBitwise) {
+  // `iterations` depends on which stored state seeded the warm start, so a
+  // batch only reproduces sequential model_point calls field for field when
+  // run() picks every warm source in input order, whatever the thread
+  // schedule. Repeated because a schedule-dependent choice fails only on
+  // some interleavings.
+  const std::vector<double> lams = {1e-4, 1.5e-4, 2e-4, 2.5e-4, 3e-4, 3.5e-4};
+  for (int rep = 0; rep < 50; ++rep) {
+    SCOPED_TRACE("repetition " + std::to_string(rep));
+    SweepEngine batch(small_scenario());
+    const std::vector<PointResult> pts = batch.run(lams, /*run_sim=*/false);
+    SweepEngine sequential(small_scenario());
+    ASSERT_EQ(pts.size(), lams.size());
+    for (std::size_t i = 0; i < lams.size(); ++i) {
+      SCOPED_TRACE("lambda " + std::to_string(lams[i]));
+      ASSERT_TRUE(pts[i].has_model);
+      EXPECT_EQ(bits(pts[i].lambda), bits(lams[i]));
+      expect_same_model_result(pts[i].model, sequential.model_point(lams[i]));
+    }
+  }
 }
 
 TEST(CacheStats, FormatsEveryCounterInCanonicalOrder) {
