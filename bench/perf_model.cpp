@@ -32,11 +32,11 @@ void BM_ModelSolve(benchmark::State& state) {
 BENCHMARK(BM_ModelSolve)->ArgsProduct({{8, 16, 32}, {20, 60, 90}});
 
 void BM_ModelSaturationSearch(benchmark::State& state) {
-  core::Scenario s;
-  s.k = static_cast<int>(state.range(0));
+  core::ScenarioSpec s;
+  s.torus().k = static_cast<int>(state.range(0));
   s.vcs = 2;
   s.message_length = 32;
-  s.hot_fraction = 0.2;
+  s.hotspot().fraction = 0.2;
   for (auto _ : state) {
     const auto sat = core::model_saturation_rate(s);
     benchmark::DoNotOptimize(sat.rate);
@@ -45,10 +45,11 @@ void BM_ModelSaturationSearch(benchmark::State& state) {
 BENCHMARK(BM_ModelSaturationSearch)->Arg(16)->Unit(benchmark::kMillisecond);
 
 void BM_UniformModelSolve(benchmark::State& state) {
-  model::UniformModelConfig cfg;
+  model::ModelConfig cfg;
   cfg.k = 16;
   cfg.vcs = 2;
   cfg.message_length = 32;
+  cfg.hot_fraction = 0.0;
   cfg.injection_rate = 1e-3;
   for (auto _ : state) {
     const auto r = model::UniformTorusModel(cfg).solve();

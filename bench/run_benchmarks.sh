@@ -41,18 +41,6 @@ if grep -q "CMAKE_BUILD_TYPE:STRING=Debug" "$build_dir/CMakeCache.txt" 2>/dev/nu
   echo "warning: Debug build (override active); do not commit these numbers." >&2
 fi
 
-echo "== perf_sim -> BENCH_sim.json"
-"$build_dir/bench/perf_sim" \
-  --benchmark_format=json \
-  --benchmark_out="$repo_root/BENCH_sim.json" \
-  --benchmark_out_format=json "$@"
-
-echo "== perf_model -> BENCH_model.json"
-"$build_dir/bench/perf_model" \
-  --benchmark_format=json \
-  --benchmark_out="$repo_root/BENCH_model.json" \
-  --benchmark_out_format=json "$@"
-
 # Host metadata: stamp the machine shape and the *kncube* build type into
 # each baseline's context block. google-benchmark records its own num_cpus
 # and library build type, but not the project's CMAKE_BUILD_TYPE — and a
@@ -66,9 +54,12 @@ echo "== perf_model -> BENCH_model.json"
 # flagged row against an unflagged one.
 kncube_build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' \
   "$build_dir/CMakeCache.txt" 2>/dev/null || true)"
-for f in "$repo_root/BENCH_sim.json" "$repo_root/BENCH_model.json"; do
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$f" "${kncube_build_type:-unknown}" <<'PY'
+stamp_host() {
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "warning: python3 not found; $(basename "$2") lacks host metadata" >&2
+    return
+  fi
+  python3 - "$1" "${kncube_build_type:-unknown}" <<'PY'
 import json, os, sys
 
 path, build_type = sys.argv[1], sys.argv[2]
@@ -97,20 +88,35 @@ with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
 PY
-  else
-    echo "warning: python3 not found; $(basename "$f") lacks host metadata" >&2
-  fi
-done
+}
 
-# The distro's libbenchmark can itself be a debug flavour; it stamps the
-# context block, so surface it — the numbers are still comparable between
-# runs on the same library, but note it when reading absolute values.
-for f in "$repo_root/BENCH_sim.json" "$repo_root/BENCH_model.json"; do
-  if grep -q '"library_build_type": "debug"' "$f"; then
-    echo "WARNING: $(basename "$f") was produced against a debug google-benchmark" >&2
+# Each binary writes to a scratch file first. The extra arguments go to both
+# binaries, so a --benchmark_filter meant for one of them matches nothing in
+# the other; google-benchmark then exits 0 with an empty output. Only a run
+# that produced at least one row replaces its committed baseline.
+tmp_dir="$(mktemp -d)"
+trap 'rm -rf "$tmp_dir"' EXIT
+for bin in perf_sim perf_model; do
+  baseline="$repo_root/BENCH_${bin#perf_}.json"
+  out="$tmp_dir/$bin.json"
+  echo "== $bin -> $(basename "$baseline")"
+  "$build_dir/bench/$bin" \
+    --benchmark_format=json \
+    --benchmark_out="$out" \
+    --benchmark_out_format=json "$@"
+  if ! grep -q '"run_name"' "$out" 2>/dev/null; then
+    echo "$bin ran no benchmarks; kept the committed $(basename "$baseline")"
+    continue
+  fi
+  stamp_host "$out" "$baseline"
+  mv "$out" "$baseline"
+  # The distro's libbenchmark can itself be a debug flavour; it stamps the
+  # context block, so surface it — the numbers are still comparable between
+  # runs on the same library, but note it when reading absolute values.
+  if grep -q '"library_build_type": "debug"' "$baseline"; then
+    echo "WARNING: $(basename "$baseline") was produced against a debug google-benchmark" >&2
     echo "         library (see its context block); absolute timings carry" >&2
     echo "         library overhead even though the kncube code is optimised." >&2
   fi
+  echo "Wrote $baseline"
 done
-
-echo "Wrote $repo_root/BENCH_sim.json and $repo_root/BENCH_model.json"

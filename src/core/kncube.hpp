@@ -8,12 +8,14 @@
 //                  channel geometry;
 //   * sim/       — flit-level wormhole simulator with virtual channels
 //                  (the paper's validation substrate);
-//   * model/     — the analytical models behind one polymorphic
-//                  model::AnalyticalModel interface: the hot-spot torus
-//                  model (the contribution), the uniform-traffic baseline,
-//                  the hypercube lineage model, the k-ary n-mesh model
-//                  (position-dependent channel classes), and the shared queueing
-//                  primitives;
+//   * model/     — the analytical models: one model::ModelConfig, one
+//                  model::ModelResult and one model::AnalyticalModel adapter
+//                  over five families built on the shared channel-class
+//                  engine — the hot-spot torus model (the contribution), the
+//                  uniform-traffic baseline, the hypercube lineage model and
+//                  the uniform and hot-spot k-ary n-mesh models
+//                  (position-dependent channel classes) — with bursty MMPP
+//                  arrivals on the torus families;
 //   * core/      — the public facade. core::ScenarioSpec is the one typed
 //                  scenario language (topology × traffic × arrivals plus
 //                  router/measurement/ablation knobs); the model registry
@@ -36,11 +38,9 @@
 // Specs are text round-trippable — `parse_scenario` / `format_scenario`
 // read and write a canonical `key=value` form (e.g. `topology.kind=torus`,
 // `traffic.hot_fraction=0.2`), and `examples/kncube_run` drives any spec
-// file from the command line. The pre-v2 flat core::Scenario remains as a
-// deprecated shim for one release (core/experiment.hpp).
+// file from the command line.
 #pragma once
 
-#include "core/experiment.hpp"   // IWYU pragma: export
 #include "core/model_registry.hpp"  // IWYU pragma: export
 #include "core/report.hpp"       // IWYU pragma: export
 #include "core/saturation.hpp"   // IWYU pragma: export
@@ -49,6 +49,7 @@
 #include "model/analytical_model.hpp"  // IWYU pragma: export
 #include "model/hotspot_model.hpp"  // IWYU pragma: export
 #include "model/hypercube_model.hpp"  // IWYU pragma: export
+#include "model/mesh_hotspot_model.hpp"  // IWYU pragma: export
 #include "model/mesh_model.hpp"  // IWYU pragma: export
 #include "model/uniform_model.hpp"  // IWYU pragma: export
 #include "sim/simulator.hpp"     // IWYU pragma: export

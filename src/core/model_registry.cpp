@@ -1,5 +1,8 @@
 #include "core/model_registry.hpp"
 
+#include <optional>
+#include <stdexcept>
+
 namespace kncube::core {
 
 namespace {
@@ -10,85 +13,38 @@ ModelDispatch sim_only(std::string reason) {
   return d;
 }
 
-/// True when any model-approximation knob differs from its default. Families
-/// that cannot represent a knob must not silently ignore a non-default
-/// setting — the caller would believe they ran an ablation that never
-/// happened — so they dispatch sim-only instead.
-bool nondefault_blocking(const ScenarioSpec& spec) {
-  return spec.blocking != model::BlockingVariant::kPaper;
-}
-bool nondefault_bases(const ScenarioSpec& spec) {
-  return spec.busy_basis != model::ServiceBasis::kTransmission ||
-         spec.vcmux_basis != model::ServiceBasis::kTransmission;
-}
-
-/// Mirrors core::MmppArrivals into the model layer's shape struct.
-model::MmppArrivalShape mmpp_shape(const ScenarioSpec& spec) {
-  const MmppArrivals& m = spec.mmpp();
-  return {m.burst_multiplier, m.p_enter_burst, m.p_leave_burst};
+ModelDispatch dispatch(model::ModelFamily family, const ScenarioSpec& spec) {
+  std::optional<model::MmppArrivalShape> mmpp;
+  if (spec.is_mmpp()) {
+    const MmppArrivals& m = spec.mmpp();
+    mmpp = model::MmppArrivalShape{m.burst_multiplier, m.p_enter_burst, m.p_leave_burst};
+  }
+  ModelDispatch d;
+  try {
+    d.model = std::make_unique<model::AnalyticalModel>(family, to_model_config(spec), mmpp);
+  } catch (const std::invalid_argument& e) {
+    // The spec itself is valid, so the family refused a value it cannot
+    // represent (an ablation knob it has no variant for, or bursty arrivals
+    // off the torus).
+    return sim_only(e.what());
+  }
+  return d;
 }
 
 ModelDispatch torus_dispatch(const ScenarioSpec& spec) {
-  const TorusTopology& t = spec.torus();
-  if (t.bidirectional) {
+  if (spec.torus().bidirectional) {
     return sim_only("analytical models assume unidirectional links");
   }
-  if (t.n != 2) {
-    return sim_only("analytical torus models are 2-D (n == 2)");
-  }
-  if (spec.is_hotspot()) {
-    model::ModelConfig cfg;
-    cfg.k = t.k;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    cfg.hot_fraction = spec.hotspot().fraction;
-    cfg.blocking = spec.blocking;
-    cfg.busy_basis = spec.busy_basis;
-    cfg.vcmux_basis = spec.vcmux_basis;
-    ModelDispatch d;
-    if (spec.is_mmpp()) {
-      d.model = std::make_unique<model::MmppHotspotAnalyticalModel>(
-          cfg, mmpp_shape(spec));
-    } else {
-      d.model = std::make_unique<model::HotspotAnalyticalModel>(cfg);
-    }
-    return d;
-  }
+  if (spec.is_hotspot()) return dispatch(model::ModelFamily::kHotspotTorus, spec);
   if (std::holds_alternative<UniformTraffic>(spec.traffic)) {
-    if (nondefault_blocking(spec) || nondefault_bases(spec)) {
-      return sim_only(
-          "uniform-torus model has no blocking/basis ablation variants");
-    }
-    model::UniformModelConfig cfg;
-    cfg.k = t.k;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    ModelDispatch d;
-    if (spec.is_mmpp()) {
-      d.model = std::make_unique<model::MmppUniformAnalyticalModel>(
-          cfg, mmpp_shape(spec));
-    } else {
-      d.model = std::make_unique<model::UniformAnalyticalModel>(cfg);
-    }
-    return d;
+    return dispatch(model::ModelFamily::kUniformTorus, spec);
   }
   return sim_only("no analytical counterpart for this traffic pattern");
 }
 
 ModelDispatch mesh_dispatch(const ScenarioSpec& spec) {
-  const MeshTopology& m = spec.mesh();
   if (std::holds_alternative<UniformTraffic>(spec.traffic)) {
-    model::MeshModelConfig cfg;
-    cfg.k = m.k;
-    cfg.n = m.n;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    cfg.blocking = spec.blocking;
-    cfg.busy_basis = spec.busy_basis;
-    cfg.vcmux_basis = spec.vcmux_basis;
-    ModelDispatch d;
-    d.model = std::make_unique<model::MeshAnalyticalModel>(cfg);
-    return d;
+    return dispatch(model::ModelFamily::kUniformMesh, spec);
   }
   if (spec.is_hotspot()) {
     // The hot-spot mesh model exploits the centre node's mirror symmetry
@@ -108,45 +64,42 @@ ModelDispatch mesh_dispatch(const ScenarioSpec& spec) {
           "mesh hot-spot model covers the centre hot node only (off-centre "
           "load is per-channel with no class symmetry)");
     }
-    model::MeshHotspotModelConfig cfg;
-    cfg.k = m.k;
-    cfg.n = m.n;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    cfg.hot_fraction = spec.hotspot().fraction;
-    cfg.blocking = spec.blocking;
-    cfg.busy_basis = spec.busy_basis;
-    cfg.vcmux_basis = spec.vcmux_basis;
-    ModelDispatch d;
-    d.model = std::make_unique<model::HotspotMeshAnalyticalModel>(cfg);
-    return d;
+    return dispatch(model::ModelFamily::kHotspotMesh, spec);
   }
   return sim_only("no analytical counterpart for this traffic pattern");
 }
 
 ModelDispatch hypercube_dispatch(const ScenarioSpec& spec) {
-  const bool uniform = std::holds_alternative<UniformTraffic>(spec.traffic);
-  if (!spec.is_hotspot() && !uniform) {
-    return sim_only("no analytical counterpart for this traffic pattern");
-  }
-  if (nondefault_blocking(spec)) {
-    return sim_only("hypercube model has no blocking-form ablation variant");
-  }
-  model::HypercubeModelConfig cfg;
-  cfg.dims = spec.hypercube().dims;
-  cfg.vcs = spec.vcs;
-  cfg.message_length = spec.message_length;
   // Uniform traffic is the h = 0 degeneration of the hot-spot model (the
   // hot streams vanish and every channel carries the regular background).
-  cfg.hot_fraction = uniform ? 0.0 : spec.hotspot().fraction;
-  cfg.busy_basis = spec.busy_basis;
-  cfg.vcmux_basis = spec.vcmux_basis;
-  ModelDispatch d;
-  d.model = std::make_unique<model::HypercubeAnalyticalModel>(cfg);
-  return d;
+  if (spec.is_hotspot() || std::holds_alternative<UniformTraffic>(spec.traffic)) {
+    return dispatch(model::ModelFamily::kHotspotHypercube, spec);
+  }
+  return sim_only("no analytical counterpart for this traffic pattern");
 }
 
 }  // namespace
+
+model::ModelConfig to_model_config(const ScenarioSpec& spec) {
+  model::ModelConfig cfg;
+  if (spec.is_torus()) {
+    cfg.k = spec.torus().k;
+    cfg.n = spec.torus().n;
+  } else if (spec.is_mesh()) {
+    cfg.k = spec.mesh().k;
+    cfg.n = spec.mesh().n;
+  } else {
+    cfg.k = 2;
+    cfg.n = spec.hypercube().dims;
+  }
+  cfg.vcs = spec.vcs;
+  cfg.message_length = spec.message_length;
+  cfg.hot_fraction = spec.is_hotspot() ? spec.hotspot().fraction : 0.0;
+  cfg.blocking = spec.blocking;
+  cfg.busy_basis = spec.busy_basis;
+  cfg.vcmux_basis = spec.vcmux_basis;
+  return cfg;
+}
 
 ModelDispatch make_analytical_model(const ScenarioSpec& spec) {
   spec.validate();
@@ -156,14 +109,6 @@ ModelDispatch make_analytical_model(const ScenarioSpec& spec) {
     // a network that does not exist. Checked before any family dispatch so
     // no faulty spec can slip through a family-specific branch.
     return sim_only("fault-aware analytical model not yet implemented");
-  }
-  if (spec.is_mmpp() && !spec.is_torus()) {
-    // The bursty (MMPP) service stage — engine/bursty.hpp, the paper's §5
-    // future work — is wired into the torus families only; the mesh and
-    // hypercube builders do not thread an arrival IDC yet.
-    return sim_only(
-        "bursty-arrival model covers the torus families only (mesh and "
-        "hypercube models assume Bernoulli arrivals)");
   }
   if (spec.is_torus()) return torus_dispatch(spec);
   if (spec.is_mesh()) return mesh_dispatch(spec);

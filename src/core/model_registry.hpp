@@ -7,18 +7,23 @@
 //
 //   torus n=2 uni  × hotspot  × bernoulli  -> hotspot-torus   (the paper)
 //   torus n=2 uni  × uniform  × bernoulli  -> uniform-torus   (baseline)
+//   torus n=2 uni  × hotspot  × mmpp       -> mmpp-hotspot-torus
+//   torus n=2 uni  × uniform  × mmpp       -> mmpp-uniform-torus
 //   hypercube      × hotspot  × bernoulli  -> hotspot-hypercube (ref. [12])
 //   hypercube      × uniform  × bernoulli  -> hotspot-hypercube with h = 0
 //   mesh (any n)   × uniform  × bernoulli  -> uniform-mesh    (per-position
 //                                             channel classes, DESIGN.md §8)
-//   anything else (mesh hot-spot — per-channel load with no class
-//   reduction; permutation patterns, MMPP arrivals, bidirectional links,
-//   n ≠ 2 tori)                            -> sim-only
+//   mesh (any n)   × hotspot  × bernoulli  -> hotspot-mesh    (centre hot
+//                                             node only, DESIGN.md §13)
+//   anything else (permutation patterns, off-centre mesh hot nodes, MMPP
+//   arrivals off the torus, bidirectional links, n ≠ 2 tori, faulty
+//   networks)                              -> sim-only
 //
-// A family that cannot represent a requested model-ablation knob (the
-// uniform-torus model has no blocking/basis variants; the hypercube model
-// has no blocking-form variant) also reports sim-only rather than silently
-// running the default approximation under an ablation's name.
+// The spec reaches its family as one model::ModelConfig (to_model_config).
+// A family that cannot represent a config value — e.g. a model-ablation
+// knob the uniform torus or the hypercube has no variant for — refuses it,
+// and the registry reports sim-only with the family's reason rather than
+// silently running the default approximation under an ablation's name.
 //
 // SweepEngine holds the dispatched model and solves every operating point
 // through it, so memoization, warm-started continuation and saturation
@@ -45,5 +50,11 @@ struct ModelDispatch {
 /// Dispatches a validated spec to its analytical model family. Throws
 /// std::invalid_argument when the spec itself is invalid.
 ModelDispatch make_analytical_model(const ScenarioSpec& spec);
+
+/// The model configuration for `spec`: topology (the hypercube as k = 2,
+/// n = dims), V, Lm, h (0 unless hot-spot traffic) and the ablation knobs.
+/// `injection_rate` and `arrival_idc` keep their defaults: solve_at
+/// substitutes the operating point's rate and, for MMPP arrivals, its IDC.
+model::ModelConfig to_model_config(const ScenarioSpec& spec);
 
 }  // namespace kncube::core

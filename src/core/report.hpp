@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
+#include "core/sweep_engine.hpp"
 #include "util/table.hpp"
 
 namespace kncube::core {

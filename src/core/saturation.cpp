@@ -63,10 +63,6 @@ SaturationResult model_saturation_rate(const ScenarioSpec& spec, double rel_tol)
   return SweepEngine(spec).saturation_rate(rel_tol);
 }
 
-SaturationResult model_saturation_rate(const Scenario& scenario, double rel_tol) {
-  return model_saturation_rate(to_spec(scenario), rel_tol);
-}
-
 SaturationResult sim_saturation_rate(const ScenarioSpec& spec, double rel_tol) {
   // Each probe is a full simulation: cap the per-probe effort. A saturated
   // probe reveals itself quickly (backlog growth), a stable one converges.
@@ -84,10 +80,6 @@ SaturationResult sim_saturation_rate(const ScenarioSpec& spec, double rel_tol) {
     const sim::SimResult r = sim::simulate(to_sim_config(probe_spec, rate));
     return !r.saturated;
   });
-}
-
-SaturationResult sim_saturation_rate(const Scenario& scenario, double rel_tol) {
-  return sim_saturation_rate(to_spec(scenario), rel_tol);
 }
 
 }  // namespace kncube::core

@@ -11,7 +11,7 @@
 
 #include <functional>
 
-#include "core/experiment.hpp"
+#include "core/scenario_spec.hpp"
 
 namespace kncube::core {
 
@@ -35,12 +35,9 @@ SaturationResult bisect_saturation(double initial_guess, double rel_tol,
 /// `rel_tol`. Throws std::logic_error for sim-only specs.
 SaturationResult model_saturation_rate(const ScenarioSpec& spec,
                                        double rel_tol = 1e-3);
-SaturationResult model_saturation_rate(const Scenario& scenario,
-                                       double rel_tol = 1e-3);
 
 /// Bisects the simulator's saturation boundary. `rel_tol` is coarser by
 /// default because every probe is a full simulation.
 SaturationResult sim_saturation_rate(const ScenarioSpec& spec, double rel_tol = 0.05);
-SaturationResult sim_saturation_rate(const Scenario& scenario, double rel_tol = 0.05);
 
 }  // namespace kncube::core

@@ -1,6 +1,8 @@
 #include "core/sweep_engine.hpp"
 
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/saturation.hpp"
@@ -17,6 +19,18 @@ std::uint64_t lambda_key(double lambda) {
 
 }  // namespace
 
+double PointResult::relative_error() const {
+  // NaN — never inf or a garbage ratio — whenever either side has no usable
+  // finite latency: missing sim, saturated model, a non-finite model latency
+  // that slipped past the saturation flag, or an empty/saturated sim whose
+  // mean is zero or non-finite.
+  if (!has_model || !has_sim || model.saturated || !std::isfinite(model.latency) ||
+      !std::isfinite(sim.mean_latency) || sim.mean_latency <= 0.0) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return std::abs(model.latency - sim.mean_latency) / sim.mean_latency;
+}
+
 SweepEngine::SweepEngine(ScenarioSpec spec, std::shared_ptr<ResultStore> store)
     : spec_(std::move(spec)), store_(std::move(store)) {
   ModelDispatch dispatch = make_analytical_model(spec_);  // validates spec_
@@ -25,9 +39,6 @@ SweepEngine::SweepEngine(ScenarioSpec spec, std::shared_ptr<ResultStore> store)
   spec_key_ = spec_.key();
   if (!store_) store_ = std::make_shared<MemoryResultStore>();
 }
-
-SweepEngine::SweepEngine(const Scenario& scenario)
-    : SweepEngine(to_spec(scenario)) {}
 
 const model::AnalyticalModel& SweepEngine::analytical_model() const {
   if (!model_) {
@@ -238,24 +249,6 @@ std::size_t SweepEngine::inflight_solves() const {
   return inflight_model_.size() + inflight_sim_.size();
 }
 
-std::size_t SweepEngine::model_cache_size() const {
-  return static_cast<std::size_t>(store_->sizes().model);
-}
-
-std::size_t SweepEngine::sim_cache_size() const {
-  return static_cast<std::size_t>(store_->sizes().sim);
-}
-
-std::uint64_t SweepEngine::model_cache_hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return model_hits_;
-}
-
-std::uint64_t SweepEngine::sim_cache_hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sim_hits_;
-}
-
 void SweepEngine::clear_cache() {
   store_->clear();
   std::lock_guard<std::mutex> lock(mutex_);
@@ -265,6 +258,17 @@ void SweepEngine::clear_cache() {
   model_solves_ = 0;
   sim_runs_ = 0;
   inflight_waits_ = 0;
+}
+
+std::vector<PointResult> run_series(const ScenarioSpec& spec,
+                                    const std::vector<double>& lambdas,
+                                    bool run_sim) {
+  return SweepEngine(spec).run(lambdas, run_sim);
+}
+
+std::vector<double> lambda_sweep(const ScenarioSpec& spec, int points,
+                                 double lo_frac, double hi_frac) {
+  return SweepEngine(spec).lambda_sweep(points, lo_frac, hi_frac);
 }
 
 }  // namespace kncube::core

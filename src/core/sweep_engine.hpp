@@ -4,12 +4,11 @@
 // parameter studies, the capacity-planning daemon — ultimately evaluates
 // (scenario, lambda) points. The engine centralises that loop for *any*
 // valid ScenarioSpec: the model registry (core/model_registry.hpp)
-// dispatches the spec to its analytical model family (hot-spot torus,
-// uniform torus, hot-spot hypercube, uniform mesh) at construction, and
-// every model_point goes through that polymorphic interface; sim-only specs
-// (permutation patterns, MMPP arrivals, bidirectional links, n ≠ 2 tori,
-// faulty networks) still run simulations through the same engine with the
-// model side reported absent. A batch solves its model points in input
+// dispatches the spec to its analytical model family at construction, and
+// every model_point goes through that one model::AnalyticalModel adapter;
+// sim-only specs (permutation patterns, MMPP arrivals off the torus,
+// bidirectional links, n ≠ 2 tori, faulty networks) still run simulations
+// through the same engine with the model side reported absent. A batch solves its model points in input
 // order on the calling thread, then fans its simulations out across the
 // global thread pool (util/thread_pool, KNCUBE_THREADS); simulator seeds are
 // derived per-point so series are reproducible regardless of scheduling, and
@@ -74,12 +73,29 @@
 #include <utility>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "core/model_registry.hpp"
 #include "core/result_store.hpp"
 #include "core/saturation.hpp"
+#include "core/scenario_spec.hpp"
+#include "sim/simulator.hpp"
 
 namespace kncube::core {
+
+/// One operating point: the model prediction (when the scenario has an
+/// analytical model) and the simulation measurement at the same rate.
+struct PointResult {
+  double lambda = 0.0;
+  model::ModelResult model;
+  sim::SimResult sim;
+  bool has_sim = false;
+  /// False for sim-only scenarios (no analytical counterpart); `model` is
+  /// then the default-constructed (saturated) result.
+  bool has_model = false;
+
+  /// Relative model error |model - sim| / sim; NaN when either side is
+  /// unavailable (saturated or non-finite model, missing or degenerate sim).
+  double relative_error() const;
+};
 
 class SweepEngine {
  public:
@@ -89,8 +105,6 @@ class SweepEngine {
   /// this engine; the default is a private in-memory store.
   explicit SweepEngine(ScenarioSpec spec,
                        std::shared_ptr<ResultStore> store = nullptr);
-  /// DEPRECATED shim: accepts the legacy flat Scenario via to_spec.
-  explicit SweepEngine(const Scenario& scenario);
 
   const ScenarioSpec& spec() const noexcept { return spec_; }
   /// The spec's canonical key — the store's scenario dimension.
@@ -150,12 +164,6 @@ class SweepEngine {
   /// Solves this engine currently has in flight (owner threads running).
   std::size_t inflight_solves() const;
 
-  // Narrow legacy accessors, kept for existing call sites; equivalent to
-  // the matching cache_stats() fields.
-  std::size_t model_cache_size() const;
-  std::size_t sim_cache_size() const;
-  std::uint64_t model_cache_hits() const;
-  std::uint64_t sim_cache_hits() const;
   /// Clears the backing store (every spec, when shared) and the counters.
   void clear_cache();
 
@@ -223,5 +231,18 @@ class SweepEngine {
   std::uint64_t sim_runs_ = 0;
   std::uint64_t inflight_waits_ = 0;
 };
+
+/// Runs `lambdas` through a one-shot SweepEngine (see SweepEngine::run):
+/// model points in input order, simulations in parallel, points back in
+/// input order with per-point derived seeds. Callers issuing repeated or
+/// overlapping sweeps should hold a SweepEngine to reuse its memoization.
+std::vector<PointResult> run_series(const ScenarioSpec& spec,
+                                    const std::vector<double>& lambdas,
+                                    bool run_sim = true);
+
+/// SweepEngine::lambda_sweep on a one-shot engine. Requires a spec with an
+/// analytical model.
+std::vector<double> lambda_sweep(const ScenarioSpec& spec, int points,
+                                 double lo_frac = 0.1, double hi_frac = 0.95);
 
 }  // namespace kncube::core

@@ -1,6 +1,14 @@
 #include "model/analytical_model.hpp"
 
+#include <stdexcept>
+#include <utility>
+
 #include "model/engine/bursty.hpp"
+#include "model/hotspot_model.hpp"
+#include "model/hypercube_model.hpp"
+#include "model/mesh_hotspot_model.hpp"
+#include "model/mesh_model.hpp"
+#include "model/uniform_model.hpp"
 
 namespace kncube::model {
 
@@ -11,252 +19,89 @@ namespace {
 /// rate ratios stay well-defined.
 constexpr double kProbeRate = 1e-9;
 
+/// Builds `family` over `cfg` and hands it to `fn`.
+template <class Fn>
+auto with_family(ModelFamily family, const ModelConfig& cfg, Fn&& fn) {
+  switch (family) {
+    case ModelFamily::kHotspotTorus: return fn(HotspotModel(cfg));
+    case ModelFamily::kUniformTorus: return fn(UniformTorusModel(cfg));
+    case ModelFamily::kHotspotHypercube: return fn(HypercubeHotspotModel(cfg));
+    case ModelFamily::kUniformMesh: return fn(MeshUniformModel(cfg));
+    case ModelFamily::kHotspotMesh: return fn(MeshHotspotModel(cfg));
+  }
+  throw std::logic_error("AnalyticalModel: unknown model family");
+}
+
 }  // namespace
 
-// ------------------------------------------------------------ hot-spot ---
-
-HotspotAnalyticalModel::HotspotAnalyticalModel(ModelConfig base)
-    : base_(std::move(base)) {
-  base_.injection_rate = kProbeRate;
-  base_.validate();  // reject inconsistent base configurations eagerly
+void ModelConfig::validate() const {
+  auto fail = [](const char* msg) { throw std::invalid_argument(msg); };
+  if (k < 2) fail("ModelConfig: radix k must be >= 2");
+  if (n < 1) fail("ModelConfig: need at least one dimension");
+  if (vcs < 1) fail("ModelConfig: need at least one virtual channel");
+  if (message_length < 1) fail("ModelConfig: message length must be >= 1");
+  if (injection_rate < 0.0 || injection_rate > 1.0) {
+    fail("ModelConfig: injection rate must be in [0,1]");
+  }
+  if (hot_fraction < 0.0 || hot_fraction > 1.0) {
+    fail("ModelConfig: hot fraction must be in [0,1]");
+  }
+  if (!(arrival_idc >= 0.0)) {
+    fail("ModelConfig: arrival dispersion must be >= 0");
+  }
 }
 
-ModelResult HotspotAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
+AnalyticalModel::AnalyticalModel(ModelFamily family, ModelConfig base,
+                                 std::optional<MmppArrivalShape> mmpp)
+    : family_(family), base_(std::move(base)), mmpp_(mmpp) {
+  if (mmpp_ && family_ != ModelFamily::kHotspotTorus &&
+      family_ != ModelFamily::kUniformTorus) {
+    // The bursty service stage (engine/bursty.hpp) is wired into the torus
+    // builders only.
+    throw std::invalid_argument(
+        "bursty-arrival model covers the torus families only (mesh and "
+        "hypercube models assume Bernoulli arrivals)");
+  }
+  base_.injection_rate = kProbeRate;
+  if (mmpp_) base_.arrival_idc = 1.0;  // per-lambda value substituted in solve_at
+  // Building the family validates `base`: refuse it here, not at solve_at.
+  with_family(family_, base_, [](const auto&) { return 0; });
+}
+
+const char* AnalyticalModel::name() const noexcept {
+  switch (family_) {
+    case ModelFamily::kHotspotTorus: return mmpp_ ? "mmpp-hotspot-torus" : "hotspot-torus";
+    case ModelFamily::kUniformTorus: return mmpp_ ? "mmpp-uniform-torus" : "uniform-torus";
+    case ModelFamily::kHotspotHypercube: return "hotspot-hypercube";
+    case ModelFamily::kUniformMesh: return "uniform-mesh";
+    case ModelFamily::kHotspotMesh: return "hotspot-mesh";
+  }
+  return "unknown";
+}
+
+ModelResult AnalyticalModel::solve_at(double lambda,
+                                      const std::vector<double>* warm_start,
+                                      std::vector<double>* converged_state) const {
   ModelConfig cfg = base_;
   cfg.injection_rate = lambda;
-  return HotspotModel(cfg).solve(warm_start, converged_state);
+  if (mmpp_) {
+    cfg.arrival_idc = mmpp_arrival_idc(lambda, mmpp_->burst_multiplier,
+                                       mmpp_->p_enter_burst, mmpp_->p_leave_burst);
+  }
+  return with_family(family_, cfg, [&](const auto& model) {
+    return model.solve(warm_start, converged_state);
+  });
 }
 
-double HotspotAnalyticalModel::zero_load_latency() const {
-  return HotspotModel(base_).zero_load_latency();
+double AnalyticalModel::zero_load_latency() const {
+  return with_family(family_, base_,
+                     [](const auto& model) { return model.zero_load_latency(); });
 }
 
-double HotspotAnalyticalModel::estimated_saturation_rate() const {
-  return HotspotModel(base_).estimated_saturation_rate();
-}
-
-// ------------------------------------------------------------- uniform ---
-
-UniformAnalyticalModel::UniformAnalyticalModel(UniformModelConfig base)
-    : base_(std::move(base)) {
-  base_.injection_rate = kProbeRate;
-  base_.validate();  // reject inconsistent base configurations eagerly
-}
-
-ModelResult UniformAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  UniformModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  const UniformModelResult r =
-      UniformTorusModel(cfg).solve(warm_start, converged_state);
-  ModelResult out;
-  out.latency = r.latency;
-  out.saturated = r.saturated;
-  out.converged = r.converged;
-  out.iterations = r.iterations;
-  out.regular_latency = r.latency;  // all traffic is regular under h = 0
-  out.hot_latency = 0.0;
-  out.regular_network_latency = r.network_latency;
-  out.source_wait_regular = r.source_wait;
-  out.vc_mux_x = r.vc_mux_x;
-  out.vc_mux_hot_y = r.vc_mux_y;
-  out.vc_mux_nonhot_y = r.vc_mux_y;
-  out.max_channel_utilization = r.channel_utilization;
-  return out;
-}
-
-double UniformAnalyticalModel::zero_load_latency() const {
-  return UniformTorusModel(base_).zero_load_latency();
-}
-
-double UniformAnalyticalModel::estimated_saturation_rate() const {
-  // The x channel is the capacity bound: per-channel rate lambda (k-1)/2 at
-  // holding time tx_x = Lm + k/2 - 1 + (k-1)/2 cycles per message.
-  const double k = static_cast<double>(base_.k);
-  const double tx_x =
-      static_cast<double>(base_.message_length) + k / 2.0 - 1.0 + (k - 1.0) / 2.0;
-  return 2.0 / ((k - 1.0) * tx_x);
-}
-
-// -------------------------------------------------------- MMPP (bursty) ---
-
-MmppHotspotAnalyticalModel::MmppHotspotAnalyticalModel(ModelConfig base,
-                                                       MmppArrivalShape shape)
-    : base_(std::move(base)), shape_(shape) {
-  base_.injection_rate = kProbeRate;
-  base_.arrival_idc = 1.0;  // per-lambda value substituted in solve_at
-  base_.validate();
-}
-
-ModelResult MmppHotspotAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  ModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  cfg.arrival_idc =
-      mmpp_arrival_idc(lambda, shape_.burst_multiplier, shape_.p_enter_burst,
-                       shape_.p_leave_burst);
-  return HotspotModel(cfg).solve(warm_start, converged_state);
-}
-
-double MmppHotspotAnalyticalModel::zero_load_latency() const {
-  // Closed form, no queueing: burstiness does not shift the lambda -> 0 limit.
-  return HotspotModel(base_).zero_load_latency();
-}
-
-double MmppHotspotAnalyticalModel::estimated_saturation_rate() const {
-  // The stability pole is a bandwidth property (R8) that the IDC does not
-  // move; the Bernoulli bottleneck estimate remains the right bisection seed.
-  return HotspotModel(base_).estimated_saturation_rate();
-}
-
-MmppUniformAnalyticalModel::MmppUniformAnalyticalModel(UniformModelConfig base,
-                                                       MmppArrivalShape shape)
-    : base_(std::move(base)), shape_(shape) {
-  base_.injection_rate = kProbeRate;
-  base_.arrival_idc = 1.0;
-  base_.validate();
-}
-
-ModelResult MmppUniformAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  UniformModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  cfg.arrival_idc =
-      mmpp_arrival_idc(lambda, shape_.burst_multiplier, shape_.p_enter_burst,
-                       shape_.p_leave_burst);
-  const UniformModelResult r =
-      UniformTorusModel(cfg).solve(warm_start, converged_state);
-  ModelResult out;
-  out.latency = r.latency;
-  out.saturated = r.saturated;
-  out.converged = r.converged;
-  out.iterations = r.iterations;
-  out.regular_latency = r.latency;
-  out.hot_latency = 0.0;
-  out.regular_network_latency = r.network_latency;
-  out.source_wait_regular = r.source_wait;
-  out.vc_mux_x = r.vc_mux_x;
-  out.vc_mux_hot_y = r.vc_mux_y;
-  out.vc_mux_nonhot_y = r.vc_mux_y;
-  out.max_channel_utilization = r.channel_utilization;
-  return out;
-}
-
-double MmppUniformAnalyticalModel::zero_load_latency() const {
-  return UniformTorusModel(base_).zero_load_latency();
-}
-
-double MmppUniformAnalyticalModel::estimated_saturation_rate() const {
-  const double k = static_cast<double>(base_.k);
-  const double tx_x =
-      static_cast<double>(base_.message_length) + k / 2.0 - 1.0 + (k - 1.0) / 2.0;
-  return 2.0 / ((k - 1.0) * tx_x);
-}
-
-// ----------------------------------------------------------- hypercube ---
-
-HypercubeAnalyticalModel::HypercubeAnalyticalModel(HypercubeModelConfig base)
-    : base_(std::move(base)) {
-  base_.injection_rate = kProbeRate;
-  base_.validate();  // reject inconsistent base configurations eagerly
-}
-
-ModelResult HypercubeAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  HypercubeModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  const HypercubeModelResult r =
-      HypercubeHotspotModel(cfg).solve(warm_start, converged_state);
-  ModelResult out;
-  out.latency = r.latency;
-  out.saturated = r.saturated;
-  out.converged = r.converged;
-  out.iterations = r.iterations;
-  out.regular_latency = r.regular_latency;
-  out.hot_latency = r.hot_latency;
-  out.regular_network_latency = 0.0;  // not decomposed by the hypercube model
-  out.source_wait_regular = r.source_wait;
-  out.vc_mux_hot_y = r.vc_mux_bottleneck;  // the funnel channel into the hot node
-  out.max_channel_utilization = r.max_channel_utilization;
-  return out;
-}
-
-double HypercubeAnalyticalModel::zero_load_latency() const {
-  return HypercubeHotspotModel(base_).zero_load_latency();
-}
-
-double HypercubeAnalyticalModel::estimated_saturation_rate() const {
-  return HypercubeHotspotModel(base_).estimated_saturation_rate();
-}
-
-// ---------------------------------------------------------------- mesh ---
-
-MeshAnalyticalModel::MeshAnalyticalModel(MeshModelConfig base)
-    : base_(std::move(base)) {
-  base_.injection_rate = kProbeRate;
-  base_.validate();  // reject inconsistent base configurations eagerly
-}
-
-ModelResult MeshAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  MeshModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  const MeshModelResult r =
-      MeshUniformModel(cfg).solve(warm_start, converged_state);
-  ModelResult out;
-  out.latency = r.latency;
-  out.saturated = r.saturated;
-  out.converged = r.converged;
-  out.iterations = r.iterations;
-  out.regular_latency = r.latency;  // all traffic is regular under uniform
-  out.hot_latency = 0.0;
-  out.regular_network_latency = r.network_latency;
-  out.source_wait_regular = r.source_wait;
-  out.vc_mux_x = r.vc_mux_first_dim;
-  out.vc_mux_hot_y = r.vc_mux_last_dim;
-  out.vc_mux_nonhot_y = r.vc_mux_last_dim;
-  out.max_channel_utilization = r.max_channel_utilization;
-  return out;
-}
-
-double MeshAnalyticalModel::zero_load_latency() const {
-  return MeshUniformModel(base_).zero_load_latency();
-}
-
-double MeshAnalyticalModel::estimated_saturation_rate() const {
-  return MeshUniformModel(base_).estimated_saturation_rate();
-}
-
-// ------------------------------------------------------- hot-spot mesh ---
-
-HotspotMeshAnalyticalModel::HotspotMeshAnalyticalModel(
-    MeshHotspotModelConfig base)
-    : base_(base) {
-  base_.injection_rate = kProbeRate;
-  base_.validate();  // reject inconsistent base configurations eagerly
-}
-
-ModelResult HotspotMeshAnalyticalModel::solve_at(
-    double lambda, const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  MeshHotspotModelConfig cfg = base_;
-  cfg.injection_rate = lambda;
-  return MeshHotspotModel(cfg).solve(warm_start, converged_state);
-}
-
-double HotspotMeshAnalyticalModel::zero_load_latency() const {
-  return MeshHotspotModel(base_).zero_load_latency();
-}
-
-double HotspotMeshAnalyticalModel::estimated_saturation_rate() const {
-  return MeshHotspotModel(base_).estimated_saturation_rate();
+double AnalyticalModel::estimated_saturation_rate() const {
+  return with_family(family_, base_, [](const auto& model) {
+    return model.estimated_saturation_rate();
+  });
 }
 
 }  // namespace kncube::model

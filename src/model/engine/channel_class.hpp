@@ -17,8 +17,8 @@
 // This header turns that shape into data: a model is *declared* as a set of
 // channel classes (state slots), stream specifications whose inclusive
 // service times are linear expressions over the state, and weighted blocking
-// groups — then solved by one generic driver. The three concrete models are
-// thin builders over this engine (see DESIGN.md §4); the h = 0 agreement
+// groups — then solved by one generic driver. The concrete models are thin
+// builders over this engine (see DESIGN.md §4); the h = 0 agreement
 // between the uniform and hot-spot torus models is structural, because both
 // instantiate the same machinery with the same stream parameters.
 #pragma once

@@ -393,24 +393,9 @@ class Builder {
 
 }  // namespace
 
-void ModelConfig::validate() const {
-  auto fail = [](const char* msg) { throw std::invalid_argument(msg); };
-  if (k < 2) fail("ModelConfig: radix k must be >= 2");
-  if (vcs < 1) fail("ModelConfig: need at least one virtual channel");
-  if (message_length < 1) fail("ModelConfig: message length must be >= 1");
-  if (injection_rate < 0.0 || injection_rate > 1.0) {
-    fail("ModelConfig: injection rate must be in [0,1]");
-  }
-  if (hot_fraction < 0.0 || hot_fraction > 1.0) {
-    fail("ModelConfig: hot fraction must be in [0,1]");
-  }
-  if (!(arrival_idc >= 0.0)) {
-    fail("ModelConfig: arrival dispersion must be >= 0");
-  }
-}
-
 HotspotModel::HotspotModel(const ModelConfig& cfg) : cfg_(cfg) {
   cfg.validate();  // throws before any derived computation on bad input
+  if (cfg.n != 2) throw std::invalid_argument("hot-spot torus model is 2-D (n == 2)");
   rates_ = traffic_rates(cfg.k, cfg.injection_rate, cfg.hot_fraction);
 }
 

@@ -10,59 +10,16 @@
 // the regime the paper's figures leave blank past the latency asymptote.
 #pragma once
 
-#include <limits>
 #include <vector>
 
-#include "model/engine/channel_class.hpp"  // BlockingVariant, ServiceBasis
-#include "model/solver.hpp"
+#include "model/analytical_model.hpp"  // ModelConfig, ModelResult
 #include "model/traffic_rates.hpp"
 
 namespace kncube::model {
 
-struct ModelConfig {
-  int k = 16;                    ///< radix (N = k^2)
-  int vcs = 2;                   ///< V >= 2 virtual channels per channel
-  int message_length = 32;       ///< Lm flits
-  double injection_rate = 1e-4;  ///< lambda, messages/node/cycle
-  double hot_fraction = 0.2;     ///< h
-  BlockingVariant blocking = BlockingVariant::kPaper;
-  /// Basis for the busy probability Pb of eq (27).
-  ServiceBasis busy_basis = ServiceBasis::kTransmission;
-  /// Basis for the occupancy rho of the VC-multiplexing chain (eq 33).
-  ServiceBasis vcmux_basis = ServiceBasis::kTransmission;
-  /// Arrival-process index of dispersion (engine/bursty.hpp): 1 = Bernoulli
-  /// (the paper's arrivals, bitwise-unchanged results), > 1 = bursty MMPP.
-  double arrival_idc = 1.0;
-  FixedPointOptions solver{};
-
-  void validate() const;  ///< throws std::invalid_argument when inconsistent
-};
-
-struct ModelResult {
-  /// Mean message latency in cycles (eq 10); +inf when saturated.
-  double latency = std::numeric_limits<double>::infinity();
-  bool saturated = true;
-  bool converged = false;
-  int iterations = 0;
-
-  // Decomposition (finite only when !saturated):
-  double regular_latency = 0.0;      ///< S_r of eq (11), scaled
-  double hot_latency = 0.0;          ///< S_h of eq (21), scaled
-  double regular_network_latency = 0.0;  ///< S_r^net of eq (31), unscaled
-  double source_wait_regular = 0.0;      ///< Ws_r of eq (32)
-
-  // Virtual-channel multiplexing degrees (eqs 35-37):
-  double vc_mux_x = 1.0;         ///< average over all x channels
-  double vc_mux_hot_y = 1.0;     ///< average over hot-y-ring channels
-  double vc_mux_nonhot_y = 1.0;  ///< non-hot y channels
-
-  /// Maximum channel utilisation Pb over all channel classes; the hot-y-ring
-  /// channel adjacent to the hot node in all non-degenerate cases.
-  double max_channel_utilization = 0.0;
-};
-
 class HotspotModel {
  public:
+  /// Throws std::invalid_argument unless `cfg` is a 2-D torus (n == 2).
   explicit HotspotModel(const ModelConfig& cfg);
 
   ModelResult solve() const { return solve(nullptr, nullptr); }

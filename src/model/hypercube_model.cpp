@@ -35,9 +35,9 @@ struct Lay {
 /// the e-cube next-dimension mixture, with funnel/plain blocking mixtures.
 class Builder {
  public:
-  explicit Builder(const HypercubeModelConfig& cfg)
-      : cfg_(cfg), lay_{cfg.dims}, lm_(static_cast<double>(cfg.message_length)) {
-    const int n = cfg_.dims;
+  explicit Builder(const ModelConfig& cfg)
+      : cfg_(cfg), lay_{cfg.n}, lm_(static_cast<double>(cfg.message_length)) {
+    const int n = cfg_.n;
     lambda_r_ = cfg.injection_rate * (1.0 - cfg.hot_fraction) * pow2(n - 1) /
                 (pow2(n) - 1.0);
     hot_rate_.resize(static_cast<std::size_t>(n));
@@ -58,7 +58,7 @@ class Builder {
   /// header's expected remaining hops (each higher dimension differs with
   /// probability 1/2) — identical for hot and regular streams.
   double tx(int d) const {
-    return lm_ + static_cast<double>(cfg_.dims - 1 - d) / 2.0;
+    return lm_ + static_cast<double>(cfg_.n - 1 - d) / 2.0;
   }
 
   /// P(next corrected dimension is d' | currently at dim d); delivery
@@ -67,7 +67,7 @@ class Builder {
     KNC_DEBUG_ASSERT(dp > d);
     return pow2(-(dp - d));
   }
-  double delivery_probability(int d) const { return pow2(-(cfg_.dims - 1 - d)); }
+  double delivery_probability(int d) const { return pow2(-(cfg_.n - 1 - d)); }
 
   StreamSpec reg_stream(int d) const {
     return {lambda_r_, StateExpr::slot(lay_.r(d)), tx(d)};
@@ -77,7 +77,7 @@ class Builder {
   }
 
   ChannelClassSystem build() const {
-    const int n = cfg_.dims;
+    const int n = cfg_.n;
 
     engine::EngineOptions opts;
     opts.service_floor = lm_;
@@ -143,8 +143,8 @@ class Builder {
     return sys;
   }
 
-  bool assemble(const std::vector<double>& s, HypercubeModelResult& res) const {
-    const int n = cfg_.dims;
+  bool assemble(const std::vector<double>& s, ModelResult& res) const {
+    const int n = cfg_.n;
     const double h = cfg_.hot_fraction;
     const int vcs = cfg_.vcs;
     const double n_nodes = pow2(n);
@@ -168,7 +168,7 @@ class Builder {
     const double arr = cfg_.injection_rate / static_cast<double>(vcs);
     const QueueDelay ws = mg1_wait(arr, (1.0 - h) * sr_net + h * sh_net, lm_);
     if (ws.saturated) return false;
-    res.source_wait = ws.value;
+    res.source_wait_regular = ws.value;
 
     // VC multiplexing per dimension, funnel and plain channel classes.
     const bool mux_incl = cfg_.vcmux_basis == ServiceBasis::kInclusive;
@@ -195,7 +195,7 @@ class Builder {
       sh_total += p_first[static_cast<std::size_t>(d)] *
                   (s[static_cast<std::size_t>(lay_.h(d))] + ws.value) * v_funnel;
       max_util = std::max(max_util, busy_probability(reg, hot, busy_incl));
-      if (d == n - 1) res.vc_mux_bottleneck = v_funnel;
+      if (d == n - 1) res.vc_mux_hot_y = v_funnel;
     }
     res.regular_latency = sr_total;
     res.hot_latency = sh_total;
@@ -206,7 +206,7 @@ class Builder {
   }
 
  private:
-  const HypercubeModelConfig& cfg_;
+  const ModelConfig& cfg_;
   Lay lay_;
   double lm_;
   double lambda_r_ = 0.0;
@@ -216,45 +216,39 @@ class Builder {
 
 }  // namespace
 
-void HypercubeModelConfig::validate() const {
-  auto fail = [](const char* m) { throw std::invalid_argument(m); };
-  if (dims < 1 || dims > 24) fail("HypercubeModelConfig: dims out of range");
-  if (vcs < 1) fail("HypercubeModelConfig: need at least one VC");
-  if (message_length < 1) fail("HypercubeModelConfig: message length must be >= 1");
-  if (injection_rate < 0.0 || injection_rate > 1.0) {
-    fail("HypercubeModelConfig: rate must be in [0,1]");
-  }
-  if (hot_fraction < 0.0 || hot_fraction > 1.0) {
-    fail("HypercubeModelConfig: hot fraction must be in [0,1]");
-  }
-}
-
-HypercubeHotspotModel::HypercubeHotspotModel(const HypercubeModelConfig& cfg)
+HypercubeHotspotModel::HypercubeHotspotModel(const ModelConfig& cfg)
     : cfg_(cfg) {
   cfg.validate();
+  auto fail = [](const char* m) { throw std::invalid_argument(m); };
+  if (cfg.k != 2) fail("hypercube model is the k = 2 n-cube");
+  if (cfg.n > 24) fail("hypercube model: dims out of range");
+  if (cfg.blocking != BlockingVariant::kPaper) {
+    fail("hypercube model has no blocking-form ablation variant");
+  }
+  if (cfg.arrival_idc != 1.0) fail("hypercube model assumes Bernoulli arrivals");
 }
 
 double HypercubeHotspotModel::regular_channel_rate() const {
-  const int n = cfg_.dims;
+  const int n = cfg_.n;
   return cfg_.injection_rate * (1.0 - cfg_.hot_fraction) * pow2(n - 1) /
          (pow2(n) - 1.0);
 }
 
 double HypercubeHotspotModel::hot_funnel_rate(int d) const {
-  KNC_ASSERT(d >= 0 && d < cfg_.dims);
+  KNC_ASSERT(d >= 0 && d < cfg_.n);
   return cfg_.injection_rate * cfg_.hot_fraction * pow2(d);
 }
 
 double HypercubeHotspotModel::first_dim_probability(int d) const {
-  KNC_ASSERT(d >= 0 && d < cfg_.dims);
-  return pow2(cfg_.dims - 1 - d) / (pow2(cfg_.dims) - 1.0);
+  KNC_ASSERT(d >= 0 && d < cfg_.n);
+  return pow2(cfg_.n - 1 - d) / (pow2(cfg_.n) - 1.0);
 }
 
-HypercubeModelResult HypercubeHotspotModel::solve(
+ModelResult HypercubeHotspotModel::solve(
     const std::vector<double>* warm_start,
     std::vector<double>* converged_state) const {
   const Builder builder(cfg_);
-  HypercubeModelResult res;
+  ModelResult res;
   if (converged_state != nullptr) converged_state->clear();
 
   const ChannelClassSystem sys = builder.build();
@@ -279,13 +273,13 @@ HypercubeModelResult HypercubeHotspotModel::solve(
 
 double HypercubeHotspotModel::zero_load_latency() const {
   // Mean e-cube hops over a uniform non-equal pair: n 2^{n-1} / (2^n - 1).
-  const int n = cfg_.dims;
+  const int n = cfg_.n;
   const double hops = static_cast<double>(n) * pow2(n - 1) / (pow2(n) - 1.0);
   return hops + static_cast<double>(cfg_.message_length) - 1.0;
 }
 
 double HypercubeHotspotModel::estimated_saturation_rate() const {
-  const int n = cfg_.dims;
+  const int n = cfg_.n;
   const double coeff = cfg_.hot_fraction * pow2(n - 1) +
                        (1.0 - cfg_.hot_fraction) * 0.5;
   return 1.0 / (coeff * (static_cast<double>(cfg_.message_length) + 1.0));

@@ -25,55 +25,33 @@
 //    solved by the shared fixed-point driver.
 #pragma once
 
-#include <limits>
 #include <vector>
 
-#include "model/engine/channel_class.hpp"  // ServiceBasis, BlockingVariant
-#include "model/solver.hpp"
+#include "model/analytical_model.hpp"  // ModelConfig, ModelResult
 
 namespace kncube::model {
 
-struct HypercubeModelConfig {
-  int dims = 6;                  ///< n; N = 2^n nodes
-  int vcs = 2;                   ///< V virtual channels per channel
-  int message_length = 32;       ///< Lm flits
-  double injection_rate = 1e-4;  ///< lambda, messages/node/cycle
-  double hot_fraction = 0.2;     ///< h
-  ServiceBasis busy_basis = ServiceBasis::kTransmission;
-  ServiceBasis vcmux_basis = ServiceBasis::kTransmission;
-  FixedPointOptions solver{};
-
-  void validate() const;
-};
-
-struct HypercubeModelResult {
-  double latency = std::numeric_limits<double>::infinity();
-  bool saturated = true;
-  bool converged = false;
-  int iterations = 0;
-
-  double regular_latency = 0.0;
-  double hot_latency = 0.0;
-  double source_wait = 0.0;
-  /// Multiplexing degree on the final funnel channel (dim n-1 into the hot
-  /// node) — the hypercube's bottleneck.
-  double vc_mux_bottleneck = 1.0;
-  double max_channel_utilization = 0.0;
-};
-
+/// Solves the hot-spot hypercube. Results use the shared ModelResult:
+/// vc_mux_hot_y carries the multiplexing degree on the final funnel channel
+/// (dim n-1 into the hot node, the hypercube's bottleneck and hot-y
+/// analogue); the latency is not decomposed into a network part
+/// (regular_network_latency stays 0) and vc_mux_x / vc_mux_nonhot_y stay 1.
 class HypercubeHotspotModel {
  public:
-  explicit HypercubeHotspotModel(const HypercubeModelConfig& cfg);
+  /// The hypercube is the k = 2 n-cube: `cfg.n` is the dimension count.
+  /// Throws std::invalid_argument unless k == 2 and n <= 24, with the
+  /// default blocking form and Bernoulli arrivals (arrival_idc == 1).
+  explicit HypercubeHotspotModel(const ModelConfig& cfg);
 
-  HypercubeModelResult solve() const { return solve(nullptr, nullptr); }
+  ModelResult solve() const { return solve(nullptr, nullptr); }
   /// Continuation solve: `warm_start` seeds the iteration with a nearby
   /// converged state (cold fallback on failure, bit-identical on success);
   /// `converged_state` receives the converged iterate for chaining. Either
   /// may be null. See HotspotModel::solve for the contract.
-  HypercubeModelResult solve(const std::vector<double>* warm_start,
-                             std::vector<double>* converged_state) const;
+  ModelResult solve(const std::vector<double>* warm_start,
+                    std::vector<double>* converged_state) const;
 
-  const HypercubeModelConfig& config() const noexcept { return cfg_; }
+  const ModelConfig& config() const noexcept { return cfg_; }
 
   /// Exact zero-load latency: mean e-cube hops + Lm - 1 over the hot/regular
   /// mix (hot and regular coincide — both are uniform over the other nodes'
@@ -93,7 +71,7 @@ class HypercubeHotspotModel {
   double estimated_saturation_rate() const;
 
  private:
-  HypercubeModelConfig cfg_;
+  ModelConfig cfg_;
 };
 
 }  // namespace kncube::model

@@ -67,11 +67,11 @@ void add_scaled(Lin& out, const Lin& in, double scale) {
 
 /// Builder: shared geometry, rates and holding times for build + assembly.
 struct Geo {
-  const MeshHotspotModelConfig& cfg;
+  const ModelConfig& cfg;
   Lay lay;
   double lm, h, md_uniform, md_hot;
 
-  explicit Geo(const MeshHotspotModelConfig& c)
+  explicit Geo(const ModelConfig& c)
       : cfg(c),
         lay(c.k, c.n),
         lm(static_cast<double>(c.message_length)),
@@ -151,7 +151,7 @@ struct Geo {
 /// mixture. `eh` and `eh0` (optional) receive the E_h(0) expression and its
 /// zero-load value for the assembly phase.
 ChannelClassSystem build_system(const Geo& geo, Lin* eh_out, double* eh0_out) {
-  const MeshHotspotModelConfig& cfg = geo.cfg;
+  const ModelConfig& cfg = geo.cfg;
   const Lay& lay = geo.lay;
   const int k = lay.k;
   const int n = lay.n;
@@ -300,25 +300,12 @@ ChannelClassSystem build_system(const Geo& geo, Lin* eh_out, double* eh0_out) {
 
 }  // namespace
 
-void MeshHotspotModelConfig::validate() const {
-  auto fail = [](const char* m) { throw std::invalid_argument(m); };
-  if (k < 2) fail("MeshHotspotModelConfig: k must be >= 2");
-  if (n < 1 || n > topo::kMaxDims) fail("MeshHotspotModelConfig: n out of range");
-  if (vcs < 1) fail("MeshHotspotModelConfig: need at least one VC");
-  if (message_length < 1) {
-    fail("MeshHotspotModelConfig: message length must be >= 1");
-  }
-  if (injection_rate < 0.0 || injection_rate > 1.0) {
-    fail("MeshHotspotModelConfig: rate must be in [0,1]");
-  }
-  if (hot_fraction < 0.0 || hot_fraction > 1.0) {
-    fail("MeshHotspotModelConfig: hot fraction must be in [0,1]");
-  }
-}
-
-MeshHotspotModel::MeshHotspotModel(const MeshHotspotModelConfig& cfg)
+MeshHotspotModel::MeshHotspotModel(const ModelConfig& cfg)
     : cfg_(cfg) {
   cfg.validate();
+  auto fail = [](const char* m) { throw std::invalid_argument(m); };
+  if (cfg.n > topo::kMaxDims) fail("hotspot-mesh model: n out of range");
+  if (cfg.arrival_idc != 1.0) fail("hotspot-mesh model assumes Bernoulli arrivals");
 }
 
 ModelResult MeshHotspotModel::solve(

@@ -16,29 +16,11 @@
 // +hot / -hot line cases. DESIGN.md §13 derives the rates and recursions.
 #pragma once
 
-#include <limits>
 #include <vector>
 
-#include "model/engine/channel_class.hpp"  // BlockingVariant, ServiceBasis
-#include "model/hotspot_model.hpp"         // ModelResult
-#include "model/solver.hpp"
+#include "model/analytical_model.hpp"  // ModelConfig, ModelResult
 
 namespace kncube::model {
-
-struct MeshHotspotModelConfig {
-  int k = 8;                     ///< radix
-  int n = 2;                     ///< dimensions
-  int vcs = 2;                   ///< V virtual channels per physical channel
-  int message_length = 32;       ///< Lm flits
-  double injection_rate = 1e-4;  ///< lambda, messages/node/cycle
-  double hot_fraction = 0.2;     ///< h, fraction of traffic aimed at centre
-  BlockingVariant blocking = BlockingVariant::kPaper;
-  ServiceBasis busy_basis = ServiceBasis::kTransmission;
-  ServiceBasis vcmux_basis = ServiceBasis::kTransmission;
-  FixedPointOptions solver{};
-
-  void validate() const;  ///< throws std::invalid_argument when inconsistent
-};
 
 /// Solves the centre-hot-spot mesh. Results use the shared ModelResult:
 /// regular_latency / hot_latency carry the two path classes, vc_mux_x the
@@ -47,7 +29,9 @@ struct MeshHotspotModelConfig {
 /// dimension's regular degree.
 class MeshHotspotModel {
  public:
-  explicit MeshHotspotModel(const MeshHotspotModelConfig& cfg);
+  /// Throws std::invalid_argument unless n <= topo::kMaxDims and arrivals
+  /// are Bernoulli (arrival_idc == 1).
+  explicit MeshHotspotModel(const ModelConfig& cfg);
 
   ModelResult solve() const { return solve(nullptr, nullptr); }
   /// Continuation solve: `warm_start` seeds the iteration with a nearby
@@ -57,7 +41,7 @@ class MeshHotspotModel {
   ModelResult solve(const std::vector<double>* warm_start,
                     std::vector<double>* converged_state) const;
 
-  const MeshHotspotModelConfig& config() const noexcept { return cfg_; }
+  const ModelConfig& config() const noexcept { return cfg_; }
 
   /// Exact zero-load latency: the h-weighted mix of the uniform mean
   /// Manhattan distance and the mean distance to the centre, plus Lm - 1.
@@ -69,7 +53,7 @@ class MeshHotspotModel {
   double estimated_saturation_rate() const;
 
  private:
-  MeshHotspotModelConfig cfg_;
+  ModelConfig cfg_;
 };
 
 }  // namespace kncube::model

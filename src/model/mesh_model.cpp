@@ -52,7 +52,7 @@ void add_scaled(Lin& out, const Lin& in, double scale) {
 /// hops still ahead once the link is crossed — (m-1)/2 within the line
 /// (destinations are uniform over the m = k-1-i coordinates beyond the
 /// link) plus the iid mean line distance for each uncorrected dimension.
-double holding_time(const MeshModelConfig& cfg, int d, int i) {
+double holding_time(const ModelConfig& cfg, int d, int i) {
   const double lm = static_cast<double>(cfg.message_length);
   return lm + static_cast<double>(cfg.k - 2 - i) / 2.0 +
          static_cast<double>(cfg.n - 1 - d) * topo::mesh_mean_line_hops(cfg.k);
@@ -67,7 +67,7 @@ double holding_time(const MeshModelConfig& cfg, int d, int i) {
 ///   S_d(k-2) = B_d(k-2) + 1 + G_{d+1}
 ///   G_j      = 1/k * G_{j+1} + (k-1)/k * E_enter(j),  G_n = Lm - 1
 ///   E_enter(j) = sum_i w_i S_j(i),  w_i = mesh_entrance_weight(k, i)
-ChannelClassSystem build_system(const MeshModelConfig& cfg) {
+ChannelClassSystem build_system(const ModelConfig& cfg) {
   const int k = cfg.k;
   const int n = cfg.n;
   const double lm = static_cast<double>(cfg.message_length);
@@ -141,26 +141,19 @@ ChannelClassSystem build_system(const MeshModelConfig& cfg) {
 
 }  // namespace
 
-void MeshModelConfig::validate() const {
-  auto fail = [](const char* m) { throw std::invalid_argument(m); };
-  if (k < 2) fail("MeshModelConfig: k must be >= 2");
-  if (n < 1 || n > topo::kMaxDims) fail("MeshModelConfig: n out of range");
-  if (vcs < 1) fail("MeshModelConfig: need at least one VC");
-  if (message_length < 1) fail("MeshModelConfig: message length must be >= 1");
-  if (injection_rate < 0.0 || injection_rate > 1.0) {
-    fail("MeshModelConfig: rate must be in [0,1]");
-  }
-}
-
-MeshUniformModel::MeshUniformModel(const MeshModelConfig& cfg) : cfg_(cfg) {
+MeshUniformModel::MeshUniformModel(const ModelConfig& cfg) : cfg_(cfg) {
   cfg.validate();
+  auto fail = [](const char* m) { throw std::invalid_argument(m); };
+  if (cfg.n > topo::kMaxDims) fail("uniform-mesh model: n out of range");
+  if (cfg.hot_fraction != 0.0) fail("uniform-mesh model has no hot-spot traffic (h == 0)");
+  if (cfg.arrival_idc != 1.0) fail("uniform-mesh model assumes Bernoulli arrivals");
 }
 
 double MeshUniformModel::channel_rate(int i) const noexcept {
   return topo::mesh_channel_rate(cfg_.injection_rate, cfg_.k, cfg_.n, i);
 }
 
-MeshModelResult MeshUniformModel::solve(
+ModelResult MeshUniformModel::solve(
     const std::vector<double>* warm_start,
     std::vector<double>* converged_state) const {
   const int k = cfg_.k;
@@ -168,7 +161,8 @@ MeshModelResult MeshUniformModel::solve(
   const double lm = static_cast<double>(cfg_.message_length);
   const Lay lay(k, n);
 
-  MeshModelResult res;
+  ModelResult res;
+  res.regular_latency = res.latency;  // all traffic is regular
   if (converged_state != nullptr) converged_state->clear();
 
   const ChannelClassSystem sys = build_system(cfg_);
@@ -199,12 +193,12 @@ MeshModelResult MeshUniformModel::solve(
         (static_cast<double>(k - 1) / static_cast<double>(k)) / (1.0 - p_self);
     s_net += p_first[static_cast<std::size_t>(j)] * e;
   }
-  res.network_latency = s_net;
+  res.regular_network_latency = s_net;
 
   const double arr = cfg_.injection_rate / static_cast<double>(cfg_.vcs);
   const QueueDelay ws = mg1_wait(arr, s_net, lm);
   if (ws.saturated) return res;
-  res.source_wait = ws.value;
+  res.source_wait_regular = ws.value;
 
   // Entrance-weighted VC multiplexing per first dimension (eqs 33-35 per
   // class), on the configured occupancy basis.
@@ -219,12 +213,13 @@ MeshModelResult MeshUniformModel::solve(
       vbar += topo::mesh_entrance_weight(k, i) *
               vc_multiplexing_degree(channel_rate(i), service, cfg_.vcs);
     }
-    if (j == 0) res.vc_mux_first_dim = vbar;
-    if (j == n - 1) res.vc_mux_last_dim = vbar;
+    if (j == 0) res.vc_mux_x = vbar;
+    if (j == n - 1) res.vc_mux_hot_y = res.vc_mux_nonhot_y = vbar;
     latency += p_first[static_cast<std::size_t>(j)] *
                (entrance[static_cast<std::size_t>(j)] + ws.value) * vbar;
   }
   res.latency = latency;
+  res.regular_latency = latency;
 
   double util = 0.0;
   for (int d = 0; d < n; ++d) {

@@ -16,59 +16,34 @@
 // counterpart.
 #pragma once
 
-#include <limits>
 #include <vector>
 
-#include "model/engine/channel_class.hpp"  // BlockingVariant, ServiceBasis
-#include "model/solver.hpp"
+#include "model/analytical_model.hpp"  // ModelConfig, ModelResult
 
 namespace kncube::model {
 
-struct MeshModelConfig {
-  int k = 8;                     ///< radix
-  int n = 2;                     ///< dimensions
-  int vcs = 2;                   ///< V virtual channels per physical channel
-  int message_length = 32;       ///< Lm flits
-  double injection_rate = 1e-4;  ///< lambda, messages/node/cycle
-  BlockingVariant blocking = BlockingVariant::kPaper;
-  ServiceBasis busy_basis = ServiceBasis::kTransmission;
-  ServiceBasis vcmux_basis = ServiceBasis::kTransmission;
-  FixedPointOptions solver{};
-
-  void validate() const;  ///< throws std::invalid_argument when inconsistent
-};
-
-struct MeshModelResult {
-  double latency = std::numeric_limits<double>::infinity();
-  bool saturated = true;
-  bool converged = false;
-  int iterations = 0;
-
-  double network_latency = 0.0;  ///< unscaled mean network latency
-  double source_wait = 0.0;
-  /// Entrance-weighted VC multiplexing degrees of the first and last
-  /// dimensions (dimension 0 carries the longest continuations, the last
-  /// dimension drains into the destination).
-  double vc_mux_first_dim = 1.0;
-  double vc_mux_last_dim = 1.0;
-  /// Utilisation of the most loaded channel class — a centre (bisection)
-  /// link of dimension 0 in all non-degenerate cases.
-  double max_channel_utilization = 0.0;
-};
-
+/// Solves the uniform mesh. Results use the shared ModelResult: all traffic
+/// is regular, so regular_latency = latency (+inf when saturated) and
+/// hot_latency = 0; vc_mux_x carries dimension 0's entrance-weighted
+/// multiplexing degree (the longest continuations) and both y slots the
+/// last dimension's (it drains into the destination);
+/// max_channel_utilization is a centre (bisection) link of dimension 0 in
+/// all non-degenerate cases.
 class MeshUniformModel {
  public:
-  explicit MeshUniformModel(const MeshModelConfig& cfg);
+  /// Throws std::invalid_argument unless n <= topo::kMaxDims, h == 0 and
+  /// arrivals are Bernoulli (arrival_idc == 1).
+  explicit MeshUniformModel(const ModelConfig& cfg);
 
-  MeshModelResult solve() const { return solve(nullptr, nullptr); }
+  ModelResult solve() const { return solve(nullptr, nullptr); }
   /// Continuation solve: `warm_start` seeds the iteration with a nearby
   /// converged state (cold fallback on failure, bit-identical on success);
   /// `converged_state` receives the converged iterate for chaining. Either
   /// may be null. See HotspotModel::solve for the contract.
-  MeshModelResult solve(const std::vector<double>* warm_start,
-                        std::vector<double>* converged_state) const;
+  ModelResult solve(const std::vector<double>* warm_start,
+                    std::vector<double>* converged_state) const;
 
-  const MeshModelConfig& config() const noexcept { return cfg_; }
+  const ModelConfig& config() const noexcept { return cfg_; }
 
   /// Exact zero-load latency: E[Manhattan distance | dst != src] + Lm - 1,
   /// the lambda -> 0 limit of solve().latency.
@@ -84,7 +59,7 @@ class MeshUniformModel {
   double estimated_saturation_rate() const;
 
  private:
-  MeshModelConfig cfg_;
+  ModelConfig cfg_;
 };
 
 }  // namespace kncube::model

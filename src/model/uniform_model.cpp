@@ -45,7 +45,7 @@ HoldingTimes holding_times(int k, double lm) {
 /// Declares the three uniform path classes (y-only, x-only, x-then-y) over
 /// the shared engine: one blocking group per dimension, chained per-hop
 /// recursions, x-then-y entering the y dimension at its entrance average.
-ChannelClassSystem build_system(const UniformModelConfig& cfg, double lc) {
+ChannelClassSystem build_system(const ModelConfig& cfg, double lc) {
   const int k = cfg.k;
   const double lm = static_cast<double>(cfg.message_length);
   const Lay lay(k);
@@ -105,28 +105,23 @@ ChannelClassSystem build_system(const UniformModelConfig& cfg, double lc) {
 
 }  // namespace
 
-void UniformModelConfig::validate() const {
-  auto fail = [](const char* m) { throw std::invalid_argument(m); };
-  if (k < 2) fail("UniformModelConfig: k must be >= 2");
-  if (vcs < 1) fail("UniformModelConfig: need at least one VC");
-  if (message_length < 1) fail("UniformModelConfig: message length must be >= 1");
-  if (injection_rate < 0.0 || injection_rate > 1.0) {
-    fail("UniformModelConfig: rate must be in [0,1]");
-  }
-  if (!(arrival_idc >= 0.0)) {
-    fail("UniformModelConfig: arrival dispersion must be >= 0");
-  }
-}
-
-UniformTorusModel::UniformTorusModel(const UniformModelConfig& cfg) : cfg_(cfg) {
+UniformTorusModel::UniformTorusModel(const ModelConfig& cfg) : cfg_(cfg) {
   cfg.validate();
+  auto fail = [](const char* m) { throw std::invalid_argument(m); };
+  if (cfg.n != 2) fail("uniform-torus model is 2-D (n == 2)");
+  if (cfg.hot_fraction != 0.0) fail("uniform-torus model has no hot-spot traffic (h == 0)");
+  if (cfg.blocking != BlockingVariant::kPaper ||
+      cfg.busy_basis != ServiceBasis::kTransmission ||
+      cfg.vcmux_basis != ServiceBasis::kTransmission) {
+    fail("uniform-torus model has no blocking/basis ablation variants");
+  }
 }
 
 double UniformTorusModel::channel_rate() const noexcept {
   return cfg_.injection_rate * static_cast<double>(cfg_.k - 1) / 2.0;
 }
 
-UniformModelResult UniformTorusModel::solve(
+ModelResult UniformTorusModel::solve(
     const std::vector<double>* warm_start,
     std::vector<double>* converged_state) const {
   const int k = cfg_.k;
@@ -134,7 +129,8 @@ UniformModelResult UniformTorusModel::solve(
   const double lc = channel_rate();
   const Lay lay(k);
 
-  UniformModelResult res;
+  ModelResult res;
+  res.regular_latency = res.latency;  // all traffic is regular
   if (converged_state != nullptr) converged_state->clear();
 
   const ChannelClassSystem sys = build_system(cfg_, lc);
@@ -159,22 +155,24 @@ UniformModelResult UniformTorusModel::solve(
                       (n - 1.0);
 
   const double s_net = p_xonly * ex + p_xy * exy + p_yonly * ey;
-  res.network_latency = s_net;
+  res.regular_network_latency = s_net;
 
   const double arr = cfg_.injection_rate / static_cast<double>(cfg_.vcs);
   const QueueDelay ws = mg1_wait(arr, s_net, lm, cfg_.arrival_idc);
   if (ws.saturated) return res;
-  res.source_wait = ws.value;
+  res.source_wait_regular = ws.value;
 
   // Transmission-basis occupancy, matching the hot-spot model's default.
   const auto [tx_y, tx_x] = holding_times(k, lm);
   res.vc_mux_x = vc_multiplexing_degree(lc, tx_x, cfg_.vcs);
-  res.vc_mux_y = vc_multiplexing_degree(lc, tx_y, cfg_.vcs);
+  res.vc_mux_hot_y = vc_multiplexing_degree(lc, tx_y, cfg_.vcs);
+  res.vc_mux_nonhot_y = res.vc_mux_hot_y;
 
   res.latency = p_xonly * (ex + ws.value) * res.vc_mux_x +
                 p_xy * (exy + ws.value) * res.vc_mux_x +
-                p_yonly * (ey + ws.value) * res.vc_mux_y;
-  res.channel_utilization = std::min(1.0, lc * ex);
+                p_yonly * (ey + ws.value) * res.vc_mux_hot_y;
+  res.regular_latency = res.latency;
+  res.max_channel_utilization = std::min(1.0, lc * ex);
   res.saturated = false;
   if (converged_state != nullptr) *converged_state = std::move(state);
   return res;
@@ -191,6 +189,12 @@ double UniformTorusModel::zero_load_latency() const {
   const double one_dim = kd / 2.0 + lm - 1.0;
   const double two_dim = kd + lm - 1.0;
   return (p_xonly + p_yonly) * one_dim + p_xy * two_dim;
+}
+
+double UniformTorusModel::estimated_saturation_rate() const {
+  const double k = static_cast<double>(cfg_.k);
+  const double tx_x = holding_times(cfg_.k, static_cast<double>(cfg_.message_length)).x;
+  return 2.0 / ((k - 1.0) * tx_x);
 }
 
 }  // namespace kncube::model

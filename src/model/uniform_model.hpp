@@ -8,55 +8,39 @@
 // a strong structural cross-check of both implementations.
 #pragma once
 
-#include <limits>
 #include <vector>
 
-#include "model/solver.hpp"
+#include "model/analytical_model.hpp"  // ModelConfig, ModelResult
 
 namespace kncube::model {
 
-struct UniformModelConfig {
-  int k = 16;
-  int vcs = 2;
-  int message_length = 32;
-  double injection_rate = 1e-4;
-  /// Arrival-process index of dispersion (engine/bursty.hpp): 1 = Bernoulli
-  /// (bitwise-unchanged results), > 1 = bursty MMPP arrivals.
-  double arrival_idc = 1.0;
-  FixedPointOptions solver{};
-
-  void validate() const;
-};
-
-struct UniformModelResult {
-  double latency = std::numeric_limits<double>::infinity();
-  bool saturated = true;
-  bool converged = false;
-  int iterations = 0;
-  double network_latency = 0.0;  ///< unscaled mean network latency
-  double source_wait = 0.0;
-  double vc_mux_x = 1.0;
-  double vc_mux_y = 1.0;
-  double channel_utilization = 0.0;  ///< identical on every channel
-};
-
+/// Solves the uniform torus. Results use the shared ModelResult: all traffic
+/// is regular, so regular_latency = latency (+inf when saturated) and
+/// hot_latency = 0; the y-channel multiplexing degree fills both y slots;
+/// every channel has the same utilisation.
 class UniformTorusModel {
  public:
-  explicit UniformTorusModel(const UniformModelConfig& cfg);
+  /// Throws std::invalid_argument unless `cfg` is a 2-D torus (n == 2) with
+  /// h == 0 and the default blocking form and service bases (the uniform
+  /// model has no ablation variants).
+  explicit UniformTorusModel(const ModelConfig& cfg);
 
-  UniformModelResult solve() const { return solve(nullptr, nullptr); }
+  ModelResult solve() const { return solve(nullptr, nullptr); }
   /// Continuation solve: `warm_start` seeds the iteration with a nearby
   /// converged state (cold fallback on failure, bit-identical on success);
   /// `converged_state` receives the converged iterate for chaining. Either
   /// may be null. See HotspotModel::solve for the contract.
-  UniformModelResult solve(const std::vector<double>* warm_start,
-                           std::vector<double>* converged_state) const;
+  ModelResult solve(const std::vector<double>* warm_start,
+                    std::vector<double>* converged_state) const;
   double zero_load_latency() const;
+  /// Closed-form capacity bound of the x channel: per-channel rate
+  /// lambda (k-1)/2 at holding time Lm + k/2 - 1 + (k-1)/2 cycles.
+  double estimated_saturation_rate() const;
   /// Per-channel message rate lambda * (k-1)/2.
   double channel_rate() const noexcept;
 
  private:
-  UniformModelConfig cfg_;
+  ModelConfig cfg_;
 };
 
 }  // namespace kncube::model

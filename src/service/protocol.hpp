@@ -49,7 +49,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/experiment.hpp"
+#include "core/sweep_engine.hpp"
 #include "core/result_store.hpp"
 
 namespace kncube::service {

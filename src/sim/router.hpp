@@ -46,10 +46,11 @@
 //             (a downstream router pops a flit this router sent). Both
 //             halves are interleaving-independent sums, so the word is
 //             bit-deterministic under sharding.
-// quiescent() is (work | wake) == 0, and Network::step scans the two
-// contiguous arrays instead of touching router objects. A router that
-// stepped this cycle applies its staged arrivals in commit(); one that was
-// idle keeps them staged until the next cycle's activity scan applies them
+// A router is quiescent — every phase of its cycle would be a no-op — when
+// (work | wake) == 0, and Network::step scans the two contiguous arrays
+// instead of touching router objects. A router that stepped this cycle
+// applies its staged arrivals in commit(); one that was idle keeps them
+// staged until the next cycle's activity scan applies them
 // (commit_arrivals), and buffered_flits() counts them in either state.
 // Per-port stat_cycles is not stored at all: every router advances it
 // exactly once per cycle (commit when active, idle accounting otherwise), so
@@ -215,9 +216,6 @@ class Router {
   // --- wiring (performed once by Network) ---
   void connect(int out_port, Router* down, int down_port);
   void connect_upstream(int in_port, Router* up, int up_port);
-  Router* downstream(int out_port) const noexcept {
-    return down_[static_cast<std::size_t>(out_port)];
-  }
 
   // --- per-cycle work (invoked by Network, one active router at a time) ---
   // step() runs this router's whole cycle: refill -> eject -> route ->
@@ -244,15 +242,6 @@ class Router {
   /// that was quiescent at the previous cycle start but received a flit in
   /// that cycle (a quiescent router can have no staged credits or releases).
   void commit_arrivals();
-
-  // --- idle scheduling (Network::step) ---
-  /// True when every phase of this router's cycle would be a no-op: nothing
-  /// buffered or staged, empty source queues, no busy output VCs and no
-  /// pending credit/release signals. Network::step reads the same two words
-  /// straight from the arena without touching the Router object.
-  bool quiescent() const noexcept {
-    return *work_ == 0 && wake_->load(std::memory_order_relaxed) == 0;
-  }
 
   // --- source side ---
   /// Enqueues a generated message; messages are spread round-robin across the

@@ -1,49 +1,28 @@
-#include "core/experiment.hpp"
-
+// Model-vs-simulation experiment series: run_series, lambda_sweep and
+// PointResult::relative_error (core/sweep_engine.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "core/sweep_engine.hpp"
+
 namespace kncube::core {
 namespace {
 
-Scenario small_scenario() {
-  Scenario s;
-  s.k = 8;
+ScenarioSpec small_spec() {
+  ScenarioSpec s;
+  s.torus().k = 8;
   s.vcs = 2;
   s.message_length = 8;
-  s.hot_fraction = 0.3;
+  s.hotspot().fraction = 0.3;
   s.target_messages = 500;
   s.warmup_cycles = 2000;
   s.max_cycles = 300000;
   return s;
 }
 
-TEST(Experiment, ModelConfigMapping) {
-  const Scenario s = small_scenario();
-  const model::ModelConfig mc = to_model_config(s, 1.25e-4);
-  EXPECT_EQ(mc.k, 8);
-  EXPECT_EQ(mc.vcs, 2);
-  EXPECT_EQ(mc.message_length, 8);
-  EXPECT_DOUBLE_EQ(mc.hot_fraction, 0.3);
-  EXPECT_DOUBLE_EQ(mc.injection_rate, 1.25e-4);
-}
-
-TEST(Experiment, SimConfigMapping) {
-  const Scenario s = small_scenario();
-  const sim::SimConfig sc = to_sim_config(s, 2e-4);
-  EXPECT_EQ(sc.k, 8);
-  EXPECT_EQ(sc.n, 2);
-  EXPECT_FALSE(sc.bidirectional);
-  EXPECT_EQ(sc.pattern, sim::Pattern::kHotspot);
-  EXPECT_DOUBLE_EQ(sc.hot_fraction, 0.3);
-  EXPECT_DOUBLE_EQ(sc.injection_rate, 2e-4);
-  EXPECT_EQ(sc.target_messages, 500u);
-  EXPECT_NO_THROW(sc.validate());
-}
-
 TEST(Experiment, ModelOnlySeriesPreservesOrder) {
-  const Scenario s = small_scenario();
+  const ScenarioSpec s = small_spec();
   const std::vector<double> lams = {1e-4, 5e-5, 2e-4};
   const auto pts = run_series(s, lams, /*run_sim=*/false);
   ASSERT_EQ(pts.size(), 3u);
@@ -57,7 +36,7 @@ TEST(Experiment, ModelOnlySeriesPreservesOrder) {
 }
 
 TEST(Experiment, SeriesWithSimProducesComparablePoints) {
-  const Scenario s = small_scenario();
+  const ScenarioSpec s = small_spec();
   const auto pts = run_series(s, {8e-4}, /*run_sim=*/true);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_TRUE(pts[0].has_sim);
@@ -69,7 +48,7 @@ TEST(Experiment, SeriesWithSimProducesComparablePoints) {
 }
 
 TEST(Experiment, SeriesIsReproducibleAcrossRuns) {
-  const Scenario s = small_scenario();
+  const ScenarioSpec s = small_spec();
   const auto a = run_series(s, {5e-4, 8e-4});
   const auto b = run_series(s, {5e-4, 8e-4});
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -79,7 +58,7 @@ TEST(Experiment, SeriesIsReproducibleAcrossRuns) {
 
 TEST(Experiment, PointSeedsDifferAcrossIndices) {
   // Identical lambdas at different indices get decorrelated seeds.
-  const Scenario s = small_scenario();
+  const ScenarioSpec s = small_spec();
   const auto pts = run_series(s, {8e-4, 8e-4});
   EXPECT_NE(pts[0].sim.mean_latency, pts[1].sim.mean_latency);
 }
@@ -100,7 +79,7 @@ TEST(Experiment, RelativeErrorNanCases) {
 }
 
 TEST(Experiment, LambdaSweepSpansRequestedRange) {
-  const Scenario s = small_scenario();
+  const ScenarioSpec s = small_spec();
   const auto lams = lambda_sweep(s, 5, 0.2, 0.9);
   ASSERT_EQ(lams.size(), 5u);
   for (std::size_t i = 1; i < lams.size(); ++i) EXPECT_GT(lams[i], lams[i - 1]);

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "core/model_registry.hpp"
+#include "model/hotspot_model.hpp"
+
 namespace kncube::core {
 namespace {
 
-Scenario scenario(int k, int lm, double h) {
-  Scenario s;
-  s.k = k;
+ScenarioSpec scenario(int k, int lm, double h) {
+  ScenarioSpec s;
+  s.torus().k = k;
   s.message_length = lm;
-  s.hot_fraction = h;
+  s.hotspot().fraction = h;
   s.target_messages = 500;
   s.warmup_cycles = 2000;
   s.max_cycles = 150000;
@@ -17,14 +20,15 @@ Scenario scenario(int k, int lm, double h) {
 }
 
 TEST(ModelSaturation, BoundaryIsTight) {
-  const Scenario s = scenario(16, 32, 0.2);
+  const ScenarioSpec s = scenario(16, 32, 0.2);
   const SaturationResult sat = model_saturation_rate(s, 1e-4);
   EXPECT_GT(sat.rate, 0.0);
   // Just below: stable. Just above: saturated.
-  EXPECT_FALSE(
-      model::HotspotModel(to_model_config(s, sat.rate * 0.999)).solve().saturated);
-  EXPECT_TRUE(
-      model::HotspotModel(to_model_config(s, sat.rate * 1.01)).solve().saturated);
+  model::ModelConfig cfg = to_model_config(s);
+  cfg.injection_rate = sat.rate * 0.999;
+  EXPECT_FALSE(model::HotspotModel(cfg).solve().saturated);
+  cfg.injection_rate = sat.rate * 1.01;
+  EXPECT_TRUE(model::HotspotModel(cfg).solve().saturated);
 }
 
 TEST(ModelSaturation, DecreasesWithHotFraction) {
@@ -94,7 +98,7 @@ TEST(BisectSaturation, StablePathUnchangedAndNotFailed) {
 TEST(SimSaturation, AgreesWithModelBoundary) {
   // Small network so each probe is fast. The sim boundary should land within
   // ~35% of the model's (the model is approximate, not exact).
-  const Scenario s = scenario(8, 8, 0.3);
+  const ScenarioSpec s = scenario(8, 8, 0.3);
   const double model_rate = model_saturation_rate(s).rate;
   const double sim_rate = sim_saturation_rate(s, 0.1).rate;
   EXPECT_GT(sim_rate, 0.65 * model_rate);

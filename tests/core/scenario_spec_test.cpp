@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/model_registry.hpp"
+#include "model/hypercube_model.hpp"
 
 namespace kncube::core {
 namespace {
@@ -401,6 +402,42 @@ TEST(ModelRegistry, DispatchesEveryTopologyTrafficPair) {
   EXPECT_THROW(make_analytical_model(invalid), std::invalid_argument);
 }
 
+TEST(ModelRegistry, ToModelConfigMapsEveryTopology) {
+  ScenarioSpec spec;
+  spec.torus().k = 12;
+  spec.vcs = 3;
+  spec.message_length = 24;
+  spec.hotspot().fraction = 0.35;
+  spec.blocking = model::BlockingVariant::kPureWait;
+  spec.busy_basis = model::ServiceBasis::kInclusive;
+  spec.vcmux_basis = model::ServiceBasis::kInclusive;
+  spec.arrivals = MmppArrivals{};
+  model::ModelConfig cfg = to_model_config(spec);
+  EXPECT_EQ(cfg.k, 12);
+  EXPECT_EQ(cfg.n, 2);
+  EXPECT_EQ(cfg.vcs, 3);
+  EXPECT_EQ(cfg.message_length, 24);
+  EXPECT_EQ(cfg.hot_fraction, 0.35);
+  EXPECT_EQ(cfg.blocking, model::BlockingVariant::kPureWait);
+  EXPECT_EQ(cfg.busy_basis, model::ServiceBasis::kInclusive);
+  EXPECT_EQ(cfg.vcmux_basis, model::ServiceBasis::kInclusive);
+  // The operating point's rate and IDC are substituted per solve.
+  EXPECT_EQ(cfg.injection_rate, model::ModelConfig{}.injection_rate);
+  EXPECT_EQ(cfg.arrival_idc, 1.0);
+
+  spec.topology = MeshTopology{5, 3};
+  spec.traffic = UniformTraffic{};
+  cfg = to_model_config(spec);
+  EXPECT_EQ(cfg.k, 5);
+  EXPECT_EQ(cfg.n, 3);
+  EXPECT_EQ(cfg.hot_fraction, 0.0);
+
+  spec.topology = HypercubeTopology{7};
+  cfg = to_model_config(spec);
+  EXPECT_EQ(cfg.k, 2);
+  EXPECT_EQ(cfg.n, 7);
+}
+
 TEST(ModelRegistry, HypercubeUniformIsTheZeroHotFractionModel) {
   ScenarioSpec uniform;
   uniform.topology = HypercubeTopology{6};
@@ -408,8 +445,9 @@ TEST(ModelRegistry, HypercubeUniformIsTheZeroHotFractionModel) {
   const ModelDispatch d = make_analytical_model(uniform);
   ASSERT_TRUE(d.has_model());
 
-  model::HypercubeModelConfig direct;
-  direct.dims = 6;
+  model::ModelConfig direct;
+  direct.k = 2;
+  direct.n = 6;
   direct.vcs = uniform.vcs;
   direct.message_length = uniform.message_length;
   direct.hot_fraction = 0.0;

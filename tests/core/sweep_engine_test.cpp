@@ -15,12 +15,12 @@
 namespace kncube::core {
 namespace {
 
-Scenario small_scenario() {
-  Scenario s;
-  s.k = 8;
+ScenarioSpec small_spec() {
+  ScenarioSpec s;
+  s.torus().k = 8;
   s.vcs = 2;
   s.message_length = 8;
-  s.hot_fraction = 0.3;
+  s.hotspot().fraction = 0.3;
   s.target_messages = 500;
   s.warmup_cycles = 2000;
   s.max_cycles = 300000;
@@ -28,25 +28,25 @@ Scenario small_scenario() {
 }
 
 TEST(SweepEngine, MemoizesRepeatedModelPoints) {
-  SweepEngine engine(small_scenario());
+  SweepEngine engine(small_spec());
   const auto a = engine.model_point(2e-4);
-  EXPECT_EQ(engine.model_cache_size(), 1u);
-  EXPECT_EQ(engine.model_cache_hits(), 0u);
+  EXPECT_EQ(engine.cache_stats().model_entries, 1u);
+  EXPECT_EQ(engine.cache_stats().model_hits, 0u);
   const auto b = engine.model_point(2e-4);
-  EXPECT_EQ(engine.model_cache_size(), 1u);
-  EXPECT_EQ(engine.model_cache_hits(), 1u);
+  EXPECT_EQ(engine.cache_stats().model_entries, 1u);
+  EXPECT_EQ(engine.cache_stats().model_hits, 1u);
   EXPECT_EQ(a.latency, b.latency);
   EXPECT_EQ(a.iterations, b.iterations);
 }
 
 TEST(SweepEngine, OverlappingSweepsShareModelSolves) {
-  SweepEngine engine(small_scenario());
+  SweepEngine engine(small_spec());
   const std::vector<double> lams = {1e-4, 2e-4, 3e-4};
   const auto first = engine.run(lams, /*run_sim=*/false);
-  const auto hits_before = engine.model_cache_hits();
+  const auto hits_before = engine.cache_stats().model_hits;
   const auto second = engine.run(lams, /*run_sim=*/false);
-  EXPECT_EQ(engine.model_cache_size(), 3u);
-  EXPECT_EQ(engine.model_cache_hits(), hits_before + 3);
+  EXPECT_EQ(engine.cache_stats().model_entries, 3u);
+  EXPECT_EQ(engine.cache_stats().model_hits, hits_before + 3);
   for (std::size_t i = 0; i < lams.size(); ++i) {
     EXPECT_EQ(first[i].model.latency, second[i].model.latency);
   }
@@ -55,78 +55,78 @@ TEST(SweepEngine, OverlappingSweepsShareModelSolves) {
 TEST(SweepEngine, DuplicateLambdasInOneBatchStayIndependentReplicates) {
   // Identical lambdas at different indices get different derived seeds, so
   // their simulations are independent samples — never cache hits.
-  SweepEngine engine(small_scenario());
+  SweepEngine engine(small_spec());
   const auto pts = engine.run({8e-4, 8e-4}, /*run_sim=*/true);
   ASSERT_EQ(pts.size(), 2u);
   EXPECT_NE(engine.point_seed(0), engine.point_seed(1));
   EXPECT_NE(pts[0].sim.mean_latency, pts[1].sim.mean_latency);
   // The deterministic model side is shared.
   EXPECT_EQ(pts[0].model.latency, pts[1].model.latency);
-  EXPECT_EQ(engine.sim_cache_size(), 2u);
+  EXPECT_EQ(engine.cache_stats().sim_entries, 2u);
 }
 
 TEST(SweepEngine, RepeatedBatchesReuseSimResults) {
-  SweepEngine engine(small_scenario());
+  SweepEngine engine(small_spec());
   const auto a = engine.run({5e-4}, /*run_sim=*/true);
-  EXPECT_EQ(engine.sim_cache_hits(), 0u);
+  EXPECT_EQ(engine.cache_stats().sim_hits, 0u);
   const auto b = engine.run({5e-4}, /*run_sim=*/true);
-  EXPECT_EQ(engine.sim_cache_hits(), 1u);
+  EXPECT_EQ(engine.cache_stats().sim_hits, 1u);
   EXPECT_EQ(a[0].sim.mean_latency, b[0].sim.mean_latency);
 }
 
 TEST(SweepEngine, ClearCacheResetsEverything) {
-  SweepEngine engine(small_scenario());
+  SweepEngine engine(small_spec());
   engine.run({1e-4, 2e-4}, /*run_sim=*/false);
   engine.model_point(1e-4);
-  EXPECT_GT(engine.model_cache_size(), 0u);
-  EXPECT_GT(engine.model_cache_hits(), 0u);
+  EXPECT_GT(engine.cache_stats().model_entries, 0u);
+  EXPECT_GT(engine.cache_stats().model_hits, 0u);
   engine.clear_cache();
-  EXPECT_EQ(engine.model_cache_size(), 0u);
-  EXPECT_EQ(engine.sim_cache_size(), 0u);
-  EXPECT_EQ(engine.model_cache_hits(), 0u);
-  EXPECT_EQ(engine.sim_cache_hits(), 0u);
+  EXPECT_EQ(engine.cache_stats().model_entries, 0u);
+  EXPECT_EQ(engine.cache_stats().sim_entries, 0u);
+  EXPECT_EQ(engine.cache_stats().model_hits, 0u);
+  EXPECT_EQ(engine.cache_stats().sim_hits, 0u);
 }
 
 TEST(SweepEngine, SaturationBisectionSharesTheModelCache) {
-  SweepEngine engine(small_scenario());
+  SweepEngine engine(small_spec());
   const SaturationResult sat = engine.saturation_rate();
   EXPECT_GT(sat.rate, 0.0);
   EXPECT_GT(sat.probes, 0);
   // Every bisection probe landed in the model cache...
-  EXPECT_EQ(engine.model_cache_size(), static_cast<std::size_t>(sat.probes));
+  EXPECT_EQ(engine.cache_stats().model_entries, static_cast<std::size_t>(sat.probes));
   // ...and the boundary itself is cached: repeating costs no new solves.
-  const std::size_t solves_before = engine.model_cache_size();
+  const std::size_t solves_before = engine.cache_stats().model_entries;
   const SaturationResult again = engine.saturation_rate();
   EXPECT_EQ(again.rate, sat.rate);
-  EXPECT_EQ(engine.model_cache_size(), solves_before);
+  EXPECT_EQ(engine.cache_stats().model_entries, solves_before);
 }
 
 TEST(SweepEngine, LambdaSweepSpansRequestedRange) {
-  SweepEngine engine(small_scenario());
+  SweepEngine engine(small_spec());
   const auto lams = engine.lambda_sweep(5, 0.2, 0.9);
   ASSERT_EQ(lams.size(), 5u);
   for (std::size_t i = 1; i < lams.size(); ++i) EXPECT_GT(lams[i], lams[i - 1]);
   EXPECT_NEAR(lams.back() / lams.front(), 0.9 / 0.2, 1e-9);
 }
 
-TEST(SweepEngine, ScenarioBasisKnobsReachTheModel) {
-  // Scenario forwards all three model-approximation knobs (not just the
+TEST(SweepEngine, SpecBasisKnobsReachTheModel) {
+  // The spec forwards all three model-approximation knobs (not just the
   // blocking variant) to ModelConfig...
-  Scenario s = small_scenario();
+  ScenarioSpec s = small_spec();
   s.blocking = model::BlockingVariant::kPureWait;
   s.busy_basis = model::ServiceBasis::kInclusive;
   s.vcmux_basis = model::ServiceBasis::kInclusive;
-  const model::ModelConfig mc = to_model_config(s, 1e-4);
+  const model::ModelConfig mc = to_model_config(s);
   EXPECT_EQ(mc.blocking, model::BlockingVariant::kPureWait);
   EXPECT_EQ(mc.busy_basis, model::ServiceBasis::kInclusive);
   EXPECT_EQ(mc.vcmux_basis, model::ServiceBasis::kInclusive);
 
   // ...and each basis knob changes the solved latency.
   const double lambda = 8e-4;
-  Scenario base = small_scenario();
-  Scenario busy = small_scenario();
+  ScenarioSpec base = small_spec();
+  ScenarioSpec busy = small_spec();
   busy.busy_basis = model::ServiceBasis::kInclusive;
-  Scenario mux = small_scenario();
+  ScenarioSpec mux = small_spec();
   mux.vcmux_basis = model::ServiceBasis::kInclusive;
   const auto rb = SweepEngine(base).model_point(lambda);
   const auto ri = SweepEngine(busy).model_point(lambda);
@@ -213,7 +213,7 @@ void await_inflight_waits(const SweepEngine& engine, std::uint64_t expected) {
 
 TEST(SweepEngine, ConcurrentIdenticalModelPointsPayExactlyOneSolve) {
   auto store = std::make_shared<GatedStore>();
-  SweepEngine engine(to_spec(small_scenario()), store);
+  SweepEngine engine(small_spec(), store);
   constexpr int kCallers = 4;
   const double lambda = 2e-4;
 
@@ -243,7 +243,7 @@ TEST(SweepEngine, ConcurrentIdenticalModelPointsPayExactlyOneSolve) {
 
 TEST(SweepEngine, ConcurrentIdenticalSimPointsPayExactlyOneRun) {
   auto store = std::make_shared<GatedStore>();
-  SweepEngine engine(to_spec(small_scenario()), store);
+  SweepEngine engine(small_spec(), store);
   constexpr int kCallers = 3;
   const double lambda = 5e-4;
   const std::uint64_t seed = 42;
@@ -272,7 +272,7 @@ TEST(SweepEngine, ConcurrentIdenticalSimPointsPayExactlyOneRun) {
 
 TEST(SweepEngine, SharedStoreServesASecondEngineWithoutResolving) {
   auto store = std::make_shared<MemoryResultStore>();
-  const ScenarioSpec spec = to_spec(small_scenario());
+  const ScenarioSpec spec = small_spec();
   const double lambda = 3e-4;
 
   model::ModelResult cold;
@@ -318,9 +318,9 @@ TEST(SweepEngine, RunMatchesSequentialModelPointsBitwise) {
   const std::vector<double> lams = {1e-4, 1.5e-4, 2e-4, 2.5e-4, 3e-4, 3.5e-4};
   for (int rep = 0; rep < 50; ++rep) {
     SCOPED_TRACE("repetition " + std::to_string(rep));
-    SweepEngine batch(small_scenario());
+    SweepEngine batch(small_spec());
     const std::vector<PointResult> pts = batch.run(lams, /*run_sim=*/false);
-    SweepEngine sequential(small_scenario());
+    SweepEngine sequential(small_spec());
     ASSERT_EQ(pts.size(), lams.size());
     for (std::size_t i = 0; i < lams.size(); ++i) {
       SCOPED_TRACE("lambda " + std::to_string(lams[i]));

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/model_registry.hpp"
@@ -17,6 +18,7 @@
 #include "model/engine/vcmux.hpp"
 #include "model/hotspot_model.hpp"
 #include "model/hypercube_model.hpp"
+#include "model/mesh_hotspot_model.hpp"
 #include "model/mesh_model.hpp"
 #include "model/path_probabilities.hpp"
 #include "model/solver.hpp"
@@ -37,7 +39,7 @@ struct Outcome {
   double latency = std::numeric_limits<double>::infinity();
 };
 
-Outcome uniform_solve(const UniformModelConfig& cfg) {
+Outcome uniform_solve(const ModelConfig& cfg) {
   const int k = cfg.k;
   const double lm = static_cast<double>(cfg.message_length);
   const double lc = cfg.injection_rate * static_cast<double>(k - 1) / 2.0;
@@ -399,8 +401,8 @@ class HotspotReference {
   std::size_t ybar_, yhot_, x_, xhy_, xyb_, shy_, shx_, total_;
 };
 
-Outcome hypercube_solve(const HypercubeModelConfig& cfg) {
-  const int n = cfg.dims;
+Outcome hypercube_solve(const ModelConfig& cfg) {
+  const int n = cfg.n;
   const double lm = static_cast<double>(cfg.message_length);
   const auto pow2 = [](int e) { return std::ldexp(1.0, e); };
   const double lambda_r = cfg.injection_rate * (1.0 - cfg.hot_fraction) *
@@ -531,10 +533,11 @@ void expect_parity(const reference::Outcome& want, bool got_saturated,
 TEST(EngineParity, UniformMatchesSeedAcrossSweep) {
   for (int k : {4, 8, 16}) {
     for (int lmsg : {8, 32}) {
-      UniformModelConfig cfg;
+      ModelConfig cfg;
       cfg.k = k;
       cfg.vcs = 2;
       cfg.message_length = lmsg;
+      cfg.hot_fraction = 0.0;
       // Capacity scale: the x channel saturates when lc * tx_x -> 1.
       const double tx_x = static_cast<double>(lmsg) +
                           static_cast<double>(k) / 2.0 - 1.0 +
@@ -542,7 +545,7 @@ TEST(EngineParity, UniformMatchesSeedAcrossSweep) {
       const double cap = 2.0 / (static_cast<double>(k - 1) * tx_x);
       for (double f : kSweepFractions) {
         cfg.injection_rate = std::min(1.0, f * cap);
-        const UniformModelResult got = UniformTorusModel(cfg).solve();
+        const ModelResult got = UniformTorusModel(cfg).solve();
         const reference::Outcome want = reference::uniform_solve(cfg);
         expect_parity(want, got.saturated, got.latency, 1e-9,
                       "k=" + std::to_string(k) + " Lm=" + std::to_string(lmsg) +
@@ -555,15 +558,16 @@ TEST(EngineParity, UniformMatchesSeedAcrossSweep) {
 TEST(EngineParity, HypercubeMatchesSeedAcrossSweep) {
   for (int dims : {4, 6}) {
     for (double h : {0.0, 0.2, 0.5}) {
-      HypercubeModelConfig cfg;
-      cfg.dims = dims;
+      ModelConfig cfg;
+      cfg.k = 2;
+      cfg.n = dims;
       cfg.vcs = 2;
       cfg.message_length = 32;
       cfg.hot_fraction = h;
       const double sat = HypercubeHotspotModel(cfg).estimated_saturation_rate();
       for (double f : kSweepFractions) {
         cfg.injection_rate = std::min(1.0, f * sat);
-        const HypercubeModelResult got = HypercubeHotspotModel(cfg).solve();
+        const ModelResult got = HypercubeHotspotModel(cfg).solve();
         const reference::Outcome want = reference::hypercube_solve(cfg);
         // The engine sums the e-cube continuation terms before adding the
         // constant; the seed accumulated in place. Identical maths, ulp-level
@@ -610,15 +614,11 @@ TEST(EngineParity, HotspotAtZeroHotFractionIsStructurallyUniform) {
     hc.vcs = 2;
     hc.message_length = 32;
     hc.hot_fraction = 0.0;
-    UniformModelConfig uc;
-    uc.k = k;
-    uc.vcs = 2;
-    uc.message_length = 32;
     const double sat = HotspotModel(hc).estimated_saturation_rate();
     for (double f : {0.1, 0.5, 0.9}) {
-      hc.injection_rate = uc.injection_rate = f * sat;
+      hc.injection_rate = f * sat;
       const ModelResult hr = HotspotModel(hc).solve();
-      const UniformModelResult ur = UniformTorusModel(uc).solve();
+      const ModelResult ur = UniformTorusModel(hc).solve();
       ASSERT_EQ(hr.saturated, ur.saturated) << "k=" << k << " f=" << f;
       if (!hr.saturated) {
         EXPECT_NEAR(hr.latency, ur.latency, 1e-9 * ur.latency)
@@ -629,95 +629,47 @@ TEST(EngineParity, HotspotAtZeroHotFractionIsStructurallyUniform) {
 }
 
 TEST(EngineParity, RegistryPathMatchesDirectModelsBitForBit) {
-  // The polymorphic AnalyticalModel interface (ScenarioSpec -> registry ->
-  // solve_at) must return the same bits as constructing the direct model
-  // class, for every family, across sweeps including the saturated region.
-  const auto check = [](const core::ScenarioSpec& spec,
-                        const auto& direct_solve_latency, double sat_estimate,
+  // The registry adapter (ScenarioSpec -> to_model_config -> solve_at) must
+  // return the same bits as constructing the family class directly, for
+  // every Bernoulli family, across sweeps including the saturated region.
+  const auto check = [](const core::ScenarioSpec& spec, const auto& solve_direct,
                         const std::string& ctx) {
     const core::ModelDispatch d = core::make_analytical_model(spec);
     ASSERT_TRUE(d.has_model()) << ctx << ": " << d.sim_only_reason;
+    EXPECT_STREQ(d.model->name(), ctx.c_str());
+    ModelConfig cfg = core::to_model_config(spec);
+    const double sat_estimate = d.model->estimated_saturation_rate();
     for (double f : kSweepFractions) {
-      const double lambda = std::min(1.0, f * sat_estimate);
-      const ModelResult got = d.model->solve_at(lambda);
-      const auto [want_saturated, want_latency] = direct_solve_latency(lambda);
-      ASSERT_EQ(got.saturated, want_saturated) << ctx << " f=" << f;
+      cfg.injection_rate = std::min(1.0, f * sat_estimate);
+      const ModelResult got = d.model->solve_at(cfg.injection_rate);
+      const ModelResult want = solve_direct(cfg);
+      ASSERT_EQ(got.saturated, want.saturated) << ctx << " f=" << f;
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got.latency),
-                std::bit_cast<std::uint64_t>(want_latency))
+                std::bit_cast<std::uint64_t>(want.latency))
           << ctx << " f=" << f;
     }
   };
 
-  {
-    core::ScenarioSpec spec;
-    spec.torus().k = 8;
-    spec.hotspot().fraction = 0.2;
-    ModelConfig cfg;
-    cfg.k = 8;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    cfg.hot_fraction = 0.2;
-    check(spec,
-          [&](double lambda) {
-            cfg.injection_rate = lambda;
-            const ModelResult r = HotspotModel(cfg).solve();
-            return std::make_pair(r.saturated, r.latency);
-          },
-          HotspotModel(cfg).estimated_saturation_rate(), "hotspot-torus");
-  }
-  {
-    core::ScenarioSpec spec;
-    spec.torus().k = 8;
-    spec.traffic = core::UniformTraffic{};
-    UniformModelConfig cfg;
-    cfg.k = 8;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    const double tx_x = static_cast<double>(cfg.message_length) + 8.0 / 2.0 - 1.0 +
-                        (8.0 - 1.0) / 2.0;
-    check(spec,
-          [&](double lambda) {
-            cfg.injection_rate = lambda;
-            const UniformModelResult r = UniformTorusModel(cfg).solve();
-            return std::make_pair(r.saturated, r.latency);
-          },
-          2.0 / (7.0 * tx_x), "uniform-torus");
-  }
-  {
-    core::ScenarioSpec spec;
-    spec.topology = core::HypercubeTopology{6};
-    spec.hotspot().fraction = 0.2;
-    HypercubeModelConfig cfg;
-    cfg.dims = 6;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    cfg.hot_fraction = 0.2;
-    check(spec,
-          [&](double lambda) {
-            cfg.injection_rate = lambda;
-            const HypercubeModelResult r = HypercubeHotspotModel(cfg).solve();
-            return std::make_pair(r.saturated, r.latency);
-          },
-          HypercubeHotspotModel(cfg).estimated_saturation_rate(),
-          "hotspot-hypercube");
-  }
-  {
-    core::ScenarioSpec spec;
-    spec.topology = core::MeshTopology{8, 2};
-    spec.traffic = core::UniformTraffic{};
-    MeshModelConfig cfg;
-    cfg.k = 8;
-    cfg.n = 2;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    check(spec,
-          [&](double lambda) {
-            cfg.injection_rate = lambda;
-            const MeshModelResult r = MeshUniformModel(cfg).solve();
-            return std::make_pair(r.saturated, r.latency);
-          },
-          MeshUniformModel(cfg).estimated_saturation_rate(), "uniform-mesh");
-  }
+  core::ScenarioSpec torus;
+  torus.torus().k = 8;
+  check(torus, [](const ModelConfig& c) { return HotspotModel(c).solve(); },
+        "hotspot-torus");
+  torus.traffic = core::UniformTraffic{};
+  check(torus, [](const ModelConfig& c) { return UniformTorusModel(c).solve(); },
+        "uniform-torus");
+
+  core::ScenarioSpec cube;
+  cube.topology = core::HypercubeTopology{6};
+  check(cube, [](const ModelConfig& c) { return HypercubeHotspotModel(c).solve(); },
+        "hotspot-hypercube");
+
+  core::ScenarioSpec mesh;
+  mesh.topology = core::MeshTopology{8, 2};
+  check(mesh, [](const ModelConfig& c) { return MeshHotspotModel(c).solve(); },
+        "hotspot-mesh");
+  mesh.traffic = core::UniformTraffic{};
+  check(mesh, [](const ModelConfig& c) { return MeshUniformModel(c).solve(); },
+        "uniform-mesh");
 }
 
 TEST(EngineParity, HotspotMatchesSeedAcrossSweep) {

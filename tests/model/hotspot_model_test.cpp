@@ -45,13 +45,8 @@ TEST(HotspotModel, ReducesToUniformModelAtZeroHotFraction) {
     ModelConfig hc = base_config();
     hc.hot_fraction = 0.0;
     hc.injection_rate = lam;
-    UniformModelConfig uc;
-    uc.k = hc.k;
-    uc.vcs = hc.vcs;
-    uc.message_length = hc.message_length;
-    uc.injection_rate = lam;
     const ModelResult hr = HotspotModel(hc).solve();
-    const UniformModelResult ur = UniformTorusModel(uc).solve();
+    const ModelResult ur = UniformTorusModel(hc).solve();
     ASSERT_EQ(hr.saturated, ur.saturated) << lam;
     if (!hr.saturated) {
       EXPECT_NEAR(hr.latency, ur.latency, 1e-6 * ur.latency) << lam;

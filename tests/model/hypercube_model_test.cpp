@@ -10,9 +10,10 @@
 namespace kncube::model {
 namespace {
 
-HypercubeModelConfig base_config() {
-  HypercubeModelConfig cfg;
-  cfg.dims = 6;  // N = 64
+ModelConfig base_config() {
+  ModelConfig cfg;
+  cfg.k = 2;
+  cfg.n = 6;  // N = 64
   cfg.vcs = 2;
   cfg.message_length = 32;
   cfg.injection_rate = 1e-4;
@@ -33,14 +34,14 @@ TEST(HypercubeModel, ZeroLoadMatchesBruteForceHops) {
       ++pairs;
     }
   }
-  HypercubeModelConfig cfg = base_config();
-  cfg.dims = n;
+  ModelConfig cfg = base_config();
+  cfg.n = n;
   const double expected = hops / static_cast<double>(pairs) + 32 - 1;
   EXPECT_NEAR(HypercubeHotspotModel(cfg).zero_load_latency(), expected, 1e-9);
 }
 
 TEST(HypercubeModel, SolveApproachesZeroLoadAtTinyRates) {
-  HypercubeModelConfig cfg = base_config();
+  ModelConfig cfg = base_config();
   cfg.injection_rate = 1e-10;
   const HypercubeHotspotModel model(cfg);
   const auto r = model.solve();
@@ -50,9 +51,9 @@ TEST(HypercubeModel, SolveApproachesZeroLoadAtTinyRates) {
 
 TEST(HypercubeModel, FunnelRatesConserveHotFlux) {
   // sum_d rate_d * channels_d == lambda*h * total hot hop flux.
-  HypercubeModelConfig cfg = base_config();
+  ModelConfig cfg = base_config();
   const HypercubeHotspotModel model(cfg);
-  const int n = cfg.dims;
+  const int n = cfg.n;
   double flux = 0.0;
   for (int d = 0; d < n; ++d) {
     flux += model.hot_funnel_rate(d) * std::ldexp(1.0, n - d - 1);
@@ -65,7 +66,7 @@ TEST(HypercubeModel, FunnelRatesConserveHotFlux) {
 TEST(HypercubeModel, FirstDimProbabilitiesSumToOne) {
   const HypercubeHotspotModel model(base_config());
   double sum = 0.0;
-  for (int d = 0; d < base_config().dims; ++d) sum += model.first_dim_probability(d);
+  for (int d = 0; d < base_config().n; ++d) sum += model.first_dim_probability(d);
   EXPECT_NEAR(sum, 1.0, 1e-12);
   // Lowest dimensions are corrected most often.
   EXPECT_GT(model.first_dim_probability(0), model.first_dim_probability(5));
@@ -75,7 +76,7 @@ TEST(HypercubeModel, LatencyIncreasesWithLoad) {
   double prev = 0.0;
   const double sat = HypercubeHotspotModel(base_config()).estimated_saturation_rate();
   for (double frac : {0.05, 0.2, 0.4, 0.6}) {
-    HypercubeModelConfig cfg = base_config();
+    ModelConfig cfg = base_config();
     cfg.injection_rate = frac * sat;
     const auto r = HypercubeHotspotModel(cfg).solve();
     ASSERT_FALSE(r.saturated) << frac;
@@ -85,14 +86,14 @@ TEST(HypercubeModel, LatencyIncreasesWithLoad) {
 }
 
 TEST(HypercubeModel, SaturatesUnderOverload) {
-  HypercubeModelConfig cfg = base_config();
+  ModelConfig cfg = base_config();
   cfg.injection_rate = 10.0 * HypercubeHotspotModel(cfg).estimated_saturation_rate();
   const auto r = HypercubeHotspotModel(cfg).solve();
   EXPECT_TRUE(r.saturated);
 }
 
 TEST(HypercubeModel, HotLatencyExceedsRegularUnderLoad) {
-  HypercubeModelConfig cfg = base_config();
+  ModelConfig cfg = base_config();
   cfg.injection_rate = 0.5 * HypercubeHotspotModel(cfg).estimated_saturation_rate();
   const auto r = HypercubeHotspotModel(cfg).solve();
   ASSERT_FALSE(r.saturated);
@@ -102,8 +103,8 @@ TEST(HypercubeModel, HotLatencyExceedsRegularUnderLoad) {
 }
 
 TEST(HypercubeModel, BottleneckMultiplexingGrowsWithLoad) {
-  HypercubeModelConfig lo = base_config();
-  HypercubeModelConfig hi = base_config();
+  ModelConfig lo = base_config();
+  ModelConfig hi = base_config();
   const double sat = HypercubeHotspotModel(lo).estimated_saturation_rate();
   lo.injection_rate = 0.1 * sat;
   hi.injection_rate = 0.7 * sat;
@@ -111,31 +112,41 @@ TEST(HypercubeModel, BottleneckMultiplexingGrowsWithLoad) {
   const auto rh = HypercubeHotspotModel(hi).solve();
   ASSERT_FALSE(rl.saturated);
   ASSERT_FALSE(rh.saturated);
-  EXPECT_GT(rh.vc_mux_bottleneck, rl.vc_mux_bottleneck);
-  EXPECT_LE(rh.vc_mux_bottleneck, 2.0);
+  EXPECT_GT(rh.vc_mux_hot_y, rl.vc_mux_hot_y);
+  EXPECT_LE(rh.vc_mux_hot_y, 2.0);
 }
 
 TEST(HypercubeModel, HigherDimensionalityLowersHotCapacity) {
   // The last funnel channel carries lambda*h*2^{n-1}: capacity halves per
   // added dimension.
-  HypercubeModelConfig small = base_config();
-  HypercubeModelConfig large = base_config();
-  small.dims = 5;
-  large.dims = 7;
+  ModelConfig small = base_config();
+  ModelConfig large = base_config();
+  small.n = 5;
+  large.n = 7;
   const double s_sat = HypercubeHotspotModel(small).estimated_saturation_rate();
   const double l_sat = HypercubeHotspotModel(large).estimated_saturation_rate();
   EXPECT_NEAR(s_sat / l_sat, 4.0, 0.5);
 }
 
 TEST(HypercubeModel, ValidatesConfig) {
-  HypercubeModelConfig cfg = base_config();
-  cfg.dims = 0;
+  ModelConfig cfg = base_config();
+  cfg.n = 0;
   EXPECT_THROW(HypercubeHotspotModel{cfg}, std::invalid_argument);
   cfg = base_config();
   cfg.hot_fraction = -0.1;
   EXPECT_THROW(HypercubeHotspotModel{cfg}, std::invalid_argument);
   cfg = base_config();
   cfg.vcs = 0;
+  EXPECT_THROW(HypercubeHotspotModel{cfg}, std::invalid_argument);
+  // Values the hypercube model cannot represent are refused, not ignored.
+  cfg = base_config();
+  cfg.k = 4;
+  EXPECT_THROW(HypercubeHotspotModel{cfg}, std::invalid_argument);
+  cfg = base_config();
+  cfg.blocking = BlockingVariant::kPureWait;
+  EXPECT_THROW(HypercubeHotspotModel{cfg}, std::invalid_argument);
+  cfg = base_config();
+  cfg.arrival_idc = 2.0;
   EXPECT_THROW(HypercubeHotspotModel{cfg}, std::invalid_argument);
 }
 

@@ -6,11 +6,13 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/model_registry.hpp"
 #include "core/scenario_spec.hpp"
+#include "model/mesh_hotspot_model.hpp"
 #include "model/mesh_model.hpp"
 #include "topology/mesh_geometry.hpp"
 #include "topology/torus.hpp"
@@ -93,26 +95,28 @@ TEST(MeshModel, ZeroLoadMatchesClosedForm) {
   // (conditioned on dst != src) + Lm - 1 — the class recursion's branching
   // probabilities are exact, so the agreement is to solver tolerance.
   for (auto [k, n] : {std::pair{8, 2}, std::pair{4, 3}, std::pair{2, 6}}) {
-    MeshModelConfig cfg;
+    ModelConfig cfg;
+    cfg.hot_fraction = 0.0;
     cfg.k = k;
     cfg.n = n;
     cfg.vcs = 2;
     cfg.message_length = 16;
     cfg.injection_rate = 1e-9;
     const MeshUniformModel model(cfg);
-    const MeshModelResult res = model.solve();
+    const ModelResult res = model.solve();
     ASSERT_TRUE(res.converged);
     ASSERT_FALSE(res.saturated);
     EXPECT_NEAR(res.latency, model.zero_load_latency(), 1e-5)
         << "k=" << k << " n=" << n;
-    EXPECT_NEAR(res.network_latency,
+    EXPECT_NEAR(res.regular_network_latency,
                 topo::mesh_mean_hops_uniform(k, n) + 15.0, 1e-5)
         << "k=" << k << " n=" << n;
   }
 }
 
 TEST(MeshModel, LatencyIncreasesWithLoadAndSaturates) {
-  MeshModelConfig cfg;
+  ModelConfig cfg;
+  cfg.hot_fraction = 0.0;
   cfg.k = 8;
   cfg.n = 2;
   cfg.vcs = 2;
@@ -121,7 +125,7 @@ TEST(MeshModel, LatencyIncreasesWithLoadAndSaturates) {
   double prev = 0.0;
   for (double f : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6}) {
     cfg.injection_rate = f * sat_est;
-    const MeshModelResult res = MeshUniformModel(cfg).solve();
+    const ModelResult res = MeshUniformModel(cfg).solve();
     ASSERT_FALSE(res.saturated) << f;
     EXPECT_GT(res.latency, prev) << f;
     prev = res.latency;
@@ -132,14 +136,15 @@ TEST(MeshModel, LatencyIncreasesWithLoadAndSaturates) {
 }
 
 TEST(MeshModel, UtilisationTracksTheBisectionLink) {
-  MeshModelConfig cfg;
+  ModelConfig cfg;
+  cfg.hot_fraction = 0.0;
   cfg.k = 8;
   cfg.n = 2;
   cfg.vcs = 2;
   cfg.message_length = 16;
   cfg.injection_rate = 0.4 * MeshUniformModel(cfg).estimated_saturation_rate();
   const MeshUniformModel model(cfg);
-  const MeshModelResult res = model.solve();
+  const ModelResult res = model.solve();
   ASSERT_FALSE(res.saturated);
   // The centre link carries the peak rate; utilisation must be positive,
   // below 1, and at least the centre link's bandwidth share.
@@ -147,8 +152,27 @@ TEST(MeshModel, UtilisationTracksTheBisectionLink) {
       model.channel_rate((cfg.k - 2) / 2) * cfg.message_length;
   EXPECT_GT(res.max_channel_utilization, centre_flits * 0.99);
   EXPECT_LT(res.max_channel_utilization, 1.0);
-  EXPECT_GT(res.vc_mux_first_dim, 1.0);
-  EXPECT_LE(res.vc_mux_first_dim, static_cast<double>(cfg.vcs));
+  EXPECT_GT(res.vc_mux_x, 1.0);
+  EXPECT_LE(res.vc_mux_x, static_cast<double>(cfg.vcs));
+}
+
+TEST(MeshModel, RefusesValuesItCannotRepresent) {
+  ModelConfig cfg;
+  cfg.k = 8;
+  cfg.n = 2;
+  cfg.hot_fraction = 0.0;
+  EXPECT_NO_THROW(MeshUniformModel{cfg});
+  cfg.n = topo::kMaxDims + 1;
+  EXPECT_THROW(MeshUniformModel{cfg}, std::invalid_argument);
+  EXPECT_THROW(MeshHotspotModel{cfg}, std::invalid_argument);
+  cfg.n = 2;
+  cfg.arrival_idc = 2.0;  // bursty arrivals are modeled on the torus only
+  EXPECT_THROW(MeshUniformModel{cfg}, std::invalid_argument);
+  EXPECT_THROW(MeshHotspotModel{cfg}, std::invalid_argument);
+  cfg.arrival_idc = 1.0;
+  cfg.hot_fraction = 0.2;  // hot-spot traffic needs the hot-spot mesh model
+  EXPECT_THROW(MeshUniformModel{cfg}, std::invalid_argument);
+  EXPECT_NO_THROW(MeshHotspotModel{cfg});
 }
 
 TEST(MeshModel, RegistryDispatchesUniformOnlyWithReasons) {

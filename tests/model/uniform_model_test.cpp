@@ -8,27 +8,28 @@
 namespace kncube::model {
 namespace {
 
-UniformModelConfig base_config() {
-  UniformModelConfig cfg;
+ModelConfig base_config() {
+  ModelConfig cfg;
   cfg.k = 16;
   cfg.vcs = 2;
   cfg.message_length = 32;
   cfg.injection_rate = 1e-4;
+  cfg.hot_fraction = 0.0;
   return cfg;
 }
 
 TEST(UniformModel, ZeroLoadLimitMatchesClosedForm) {
-  UniformModelConfig cfg = base_config();
+  ModelConfig cfg = base_config();
   cfg.injection_rate = 1e-9;
   const UniformTorusModel model(cfg);
-  const UniformModelResult r = model.solve();
+  const ModelResult r = model.solve();
   ASSERT_FALSE(r.saturated);
   EXPECT_NEAR(r.latency, model.zero_load_latency(), 0.01);
 }
 
 TEST(UniformModel, ZeroLoadClosedFormValue) {
   // k=16, Lm=32: (p_x + p_y)(k/2 + Lm - 1) + p_xy (k + Lm - 1).
-  UniformModelConfig cfg = base_config();
+  ModelConfig cfg = base_config();
   const double p_x = 15.0 / 255.0;
   const double p_xy = 225.0 / 255.0;
   const double expected = 2 * p_x * (8 + 31) + p_xy * (16 + 31);
@@ -38,9 +39,9 @@ TEST(UniformModel, ZeroLoadClosedFormValue) {
 TEST(UniformModel, LatencyIncreasesWithLoad) {
   double prev = 0.0;
   for (double lam : {1e-5, 1e-4, 3e-4, 6e-4, 1e-3}) {
-    UniformModelConfig cfg = base_config();
+    ModelConfig cfg = base_config();
     cfg.injection_rate = lam;
-    const UniformModelResult r = UniformTorusModel(cfg).solve();
+    const ModelResult r = UniformTorusModel(cfg).solve();
     ASSERT_FALSE(r.saturated) << lam;
     EXPECT_GT(r.latency, prev);
     prev = r.latency;
@@ -48,23 +49,23 @@ TEST(UniformModel, LatencyIncreasesWithLoad) {
 }
 
 TEST(UniformModel, SaturatesAtHighLoad) {
-  UniformModelConfig cfg = base_config();
+  ModelConfig cfg = base_config();
   // Channel rate lambda*(k-1)/2 with tx service ~Lm+k/2-1: capacity ~3.4e-3.
   cfg.injection_rate = 5e-3;
-  const UniformModelResult r = UniformTorusModel(cfg).solve();
+  const ModelResult r = UniformTorusModel(cfg).solve();
   EXPECT_TRUE(r.saturated);
   EXPECT_TRUE(std::isinf(r.latency));
 }
 
 TEST(UniformModel, SaturationBoundaryIsSharp) {
   // Bracket the boundary: stable slightly below, saturated slightly above.
-  UniformModelConfig lo = base_config();
-  UniformModelConfig hi = base_config();
+  ModelConfig lo = base_config();
+  ModelConfig hi = base_config();
   double lo_rate = 1e-5;
   double hi_rate = 5e-3;
   for (int i = 0; i < 30; ++i) {
     const double mid = 0.5 * (lo_rate + hi_rate);
-    UniformModelConfig cfg = base_config();
+    ModelConfig cfg = base_config();
     cfg.injection_rate = mid;
     (UniformTorusModel(cfg).solve().saturated ? hi_rate : lo_rate) = mid;
   }
@@ -78,8 +79,8 @@ TEST(UniformModel, SaturationBoundaryIsSharp) {
 }
 
 TEST(UniformModel, LongerMessagesAreSlower) {
-  UniformModelConfig short_cfg = base_config();
-  UniformModelConfig long_cfg = base_config();
+  ModelConfig short_cfg = base_config();
+  ModelConfig long_cfg = base_config();
   short_cfg.message_length = 16;
   long_cfg.message_length = 64;
   const auto rs = UniformTorusModel(short_cfg).solve();
@@ -90,33 +91,33 @@ TEST(UniformModel, LongerMessagesAreSlower) {
 }
 
 TEST(UniformModel, VcMuxWithinBounds) {
-  UniformModelConfig cfg = base_config();
+  ModelConfig cfg = base_config();
   cfg.injection_rate = 1e-3;
   const auto r = UniformTorusModel(cfg).solve();
   ASSERT_FALSE(r.saturated);
   EXPECT_GE(r.vc_mux_x, 1.0);
   EXPECT_LE(r.vc_mux_x, 2.0);
-  EXPECT_GE(r.vc_mux_y, 1.0);
-  EXPECT_LE(r.vc_mux_y, 2.0);
+  EXPECT_GE(r.vc_mux_hot_y, 1.0);
+  EXPECT_LE(r.vc_mux_hot_y, 2.0);
 }
 
 TEST(UniformModel, ChannelRateFollowsEq3) {
-  UniformModelConfig cfg = base_config();
+  ModelConfig cfg = base_config();
   cfg.injection_rate = 4e-4;
   EXPECT_DOUBLE_EQ(UniformTorusModel(cfg).channel_rate(), 4e-4 * 7.5);
 }
 
 TEST(UniformModel, NetworkLatencyExcludesSourceWait) {
-  UniformModelConfig cfg = base_config();
+  ModelConfig cfg = base_config();
   cfg.injection_rate = 1e-3;
   const auto r = UniformTorusModel(cfg).solve();
   ASSERT_FALSE(r.saturated);
-  EXPECT_GT(r.source_wait, 0.0);
-  EXPECT_GT(r.latency, r.network_latency);
+  EXPECT_GT(r.source_wait_regular, 0.0);
+  EXPECT_GT(r.latency, r.regular_network_latency);
 }
 
 TEST(UniformModel, ValidatesConfig) {
-  UniformModelConfig cfg = base_config();
+  ModelConfig cfg = base_config();
   cfg.k = 1;
   EXPECT_THROW(UniformTorusModel{cfg}, std::invalid_argument);
   cfg = base_config();
@@ -127,6 +128,19 @@ TEST(UniformModel, ValidatesConfig) {
   EXPECT_THROW(UniformTorusModel{cfg}, std::invalid_argument);
   cfg = base_config();
   cfg.vcs = 0;
+  EXPECT_THROW(UniformTorusModel{cfg}, std::invalid_argument);
+  // Values the uniform model cannot represent are refused, not ignored.
+  cfg = base_config();
+  cfg.hot_fraction = 0.2;
+  EXPECT_THROW(UniformTorusModel{cfg}, std::invalid_argument);
+  cfg = base_config();
+  cfg.n = 3;
+  EXPECT_THROW(UniformTorusModel{cfg}, std::invalid_argument);
+  cfg = base_config();
+  cfg.blocking = BlockingVariant::kPureWait;
+  EXPECT_THROW(UniformTorusModel{cfg}, std::invalid_argument);
+  cfg = base_config();
+  cfg.vcmux_basis = ServiceBasis::kInclusive;
   EXPECT_THROW(UniformTorusModel{cfg}, std::invalid_argument);
 }
 

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/model_registry.hpp"
 #include "core/saturation.hpp"
 #include "core/scenario_spec.hpp"
 #include "core/sweep_engine.hpp"
@@ -28,15 +29,15 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(WarmStart, HotspotChainIsBitIdenticalIncludingKnee) {
   for (int k : {8, 16}) {
-    core::Scenario s;
-    s.k = k;
+    core::ScenarioSpec s;
+    s.torus().k = k;
     s.vcs = 2;
     s.message_length = 32;
-    s.hot_fraction = 0.2;
+    s.hotspot().fraction = 0.2;
     // The true model knee: the bisected saturation boundary, then fractions
     // hugging it from below plus one saturated point above.
     const double sat = core::model_saturation_rate(s, 1e-4).rate;
-    ModelConfig cfg = core::to_model_config(s, 0.0);
+    ModelConfig cfg = core::to_model_config(s);
 
     std::vector<double> chain;  // converged state of the previous point
     for (double f : {0.1, 0.3, 0.5, 0.7, 0.85, 0.95, 0.99, 0.999, 1.02}) {
@@ -86,17 +87,18 @@ TEST(WarmStart, MismatchedOrStaleSeedsFallBackToColdResults) {
 
 TEST(WarmStart, UniformAndHypercubeChainsAreBitIdentical) {
   {
-    UniformModelConfig cfg;
+    ModelConfig cfg;
     cfg.k = 16;
     cfg.vcs = 2;
     cfg.message_length = 32;
+    cfg.hot_fraction = 0.0;
     std::vector<double> chain;
     for (double rate : {1e-4, 3e-4, 5e-4, 7e-4}) {
       cfg.injection_rate = rate;
       const UniformTorusModel model(cfg);
-      const UniformModelResult cold = model.solve();
+      const ModelResult cold = model.solve();
       std::vector<double> state;
-      const UniformModelResult warm =
+      const ModelResult warm =
           model.solve(chain.empty() ? nullptr : &chain, &state);
       ASSERT_EQ(cold.saturated, warm.saturated) << rate;
       EXPECT_EQ(bits(cold.latency), bits(warm.latency)) << rate;
@@ -104,8 +106,9 @@ TEST(WarmStart, UniformAndHypercubeChainsAreBitIdentical) {
     }
   }
   {
-    HypercubeModelConfig cfg;
-    cfg.dims = 6;
+    ModelConfig cfg;
+    cfg.k = 2;
+    cfg.n = 6;
     cfg.vcs = 2;
     cfg.message_length = 32;
     cfg.hot_fraction = 0.2;
@@ -114,9 +117,9 @@ TEST(WarmStart, UniformAndHypercubeChainsAreBitIdentical) {
     for (double f : {0.1, 0.4, 0.7, 0.9}) {
       cfg.injection_rate = f * sat;
       const HypercubeHotspotModel model(cfg);
-      const HypercubeModelResult cold = model.solve();
+      const ModelResult cold = model.solve();
       std::vector<double> state;
-      const HypercubeModelResult warm =
+      const ModelResult warm =
           model.solve(chain.empty() ? nullptr : &chain, &state);
       ASSERT_EQ(cold.saturated, warm.saturated) << f;
       EXPECT_EQ(bits(cold.latency), bits(warm.latency)) << f;
@@ -138,13 +141,10 @@ TEST(WarmStart, RegistryEnginePathsAreBitIdenticalToDirectModels) {
     ASSERT_TRUE(engine.has_model());
     const auto lams = engine.lambda_sweep(6, 0.1, 0.95);
     const auto pts = engine.run(lams, /*run_sim=*/false);
-    UniformModelConfig cfg;
-    cfg.k = 16;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
+    ModelConfig cfg = core::to_model_config(spec);
     for (std::size_t i = 0; i < lams.size(); ++i) {
       cfg.injection_rate = lams[i];
-      const UniformModelResult direct = UniformTorusModel(cfg).solve();
+      const ModelResult direct = UniformTorusModel(cfg).solve();
       ASSERT_EQ(pts[i].model.saturated, direct.saturated) << i;
       EXPECT_EQ(bits(pts[i].model.latency), bits(direct.latency)) << i;
     }
@@ -157,14 +157,10 @@ TEST(WarmStart, RegistryEnginePathsAreBitIdenticalToDirectModels) {
     ASSERT_TRUE(engine.has_model());
     const auto lams = engine.lambda_sweep(6, 0.1, 0.95);
     const auto pts = engine.run(lams, /*run_sim=*/false);
-    HypercubeModelConfig cfg;
-    cfg.dims = 6;
-    cfg.vcs = spec.vcs;
-    cfg.message_length = spec.message_length;
-    cfg.hot_fraction = 0.2;
+    ModelConfig cfg = core::to_model_config(spec);
     for (std::size_t i = 0; i < lams.size(); ++i) {
       cfg.injection_rate = lams[i];
-      const HypercubeModelResult direct = HypercubeHotspotModel(cfg).solve();
+      const ModelResult direct = HypercubeHotspotModel(cfg).solve();
       ASSERT_EQ(pts[i].model.saturated, direct.saturated) << i;
       EXPECT_EQ(bits(pts[i].model.latency), bits(direct.latency)) << i;
     }
@@ -181,9 +177,10 @@ TEST(WarmStart, MeshChainIsBitIdenticalIncludingKnee) {
   // engine solve; continuation across an ascending sweep (including the
   // saturation knee and one saturated point) must be a pure accelerator.
   for (auto [k, n] : {std::pair{8, 2}, std::pair{4, 3}}) {
-    MeshModelConfig cfg;
+    ModelConfig cfg;
     cfg.k = k;
     cfg.n = n;
+    cfg.hot_fraction = 0.0;
     cfg.vcs = 2;
     cfg.message_length = 16;
     const double sat_est = MeshUniformModel(cfg).estimated_saturation_rate();
@@ -192,13 +189,13 @@ TEST(WarmStart, MeshChainIsBitIdenticalIncludingKnee) {
     for (double f : {0.1, 0.3, 0.5, 0.7, 0.85, 0.95, 1.05, 1.5}) {
       cfg.injection_rate = f * sat_est;
       const MeshUniformModel model(cfg);
-      const MeshModelResult cold = model.solve();
+      const ModelResult cold = model.solve();
       std::vector<double> state;
-      const MeshModelResult warm =
+      const ModelResult warm =
           model.solve(chain.empty() ? nullptr : &chain, &state);
       ASSERT_EQ(cold.saturated, warm.saturated) << "k=" << k << " f=" << f;
       EXPECT_EQ(bits(cold.latency), bits(warm.latency)) << "k=" << k << " f=" << f;
-      EXPECT_EQ(bits(cold.network_latency), bits(warm.network_latency))
+      EXPECT_EQ(bits(cold.regular_network_latency), bits(warm.regular_network_latency))
           << "k=" << k << " f=" << f;
       EXPECT_EQ(bits(cold.max_channel_utilization), bits(warm.max_channel_utilization))
           << "k=" << k << " f=" << f;
@@ -232,33 +229,29 @@ TEST(WarmStart, MeshSweepEngineIsWarmStartedMemoizedAndBitIdenticalToCold) {
   std::vector<double> descending(lams.rbegin(), lams.rend());
   // Populate the warm cache in descending order first so warm sources vary.
   (void)warm_engine.run(descending, /*run_sim=*/false);
-  const std::uint64_t hits_before = warm_engine.model_cache_hits();
+  const std::uint64_t hits_before = warm_engine.cache_stats().model_hits;
   const auto warm_pts = warm_engine.run(lams, /*run_sim=*/false);
   // The second sweep re-visits the identical lambdas: all solves memoized.
-  EXPECT_EQ(warm_engine.model_cache_hits(), hits_before + lams.size());
+  EXPECT_EQ(warm_engine.cache_stats().model_hits, hits_before + lams.size());
 
   const auto cold_pts = cold_engine.run(lams, /*run_sim=*/false);
-  MeshModelConfig cfg;
-  cfg.k = 8;
-  cfg.n = 2;
-  cfg.vcs = spec.vcs;
-  cfg.message_length = spec.message_length;
+  ModelConfig cfg = core::to_model_config(spec);
   for (std::size_t i = 0; i < lams.size(); ++i) {
     ASSERT_EQ(warm_pts[i].model.saturated, cold_pts[i].model.saturated) << i;
     EXPECT_EQ(bits(warm_pts[i].model.latency), bits(cold_pts[i].model.latency)) << i;
     cfg.injection_rate = lams[i];
-    const MeshModelResult direct = MeshUniformModel(cfg).solve();
+    const ModelResult direct = MeshUniformModel(cfg).solve();
     ASSERT_EQ(warm_pts[i].model.saturated, direct.saturated) << i;
     EXPECT_EQ(bits(warm_pts[i].model.latency), bits(direct.latency)) << i;
   }
 }
 
 TEST(WarmStart, SweepEngineResultsIndependentOfWarmStartAndOrder) {
-  core::Scenario s;
-  s.k = 8;
+  core::ScenarioSpec s;
+  s.torus().k = 8;
   s.vcs = 2;
   s.message_length = 32;
-  s.hot_fraction = 0.2;
+  s.hotspot().fraction = 0.2;
 
   core::SweepEngine cold_engine(s);
   cold_engine.set_warm_start(false);
