@@ -9,13 +9,18 @@
 // model, a blocking-form ablation on the hypercube, bursty arrivals on a
 // mesh) rather than silently solving a different model.
 //
+// Every family's solve() is one call into engine::solve_point
+// (engine/solve_point.hpp), which owns the warm-start/continuation
+// contract: warm solves are bit-identical to cold ones, a warm failure
+// falls back to the cold path, and `converged_state` receives the converged
+// iterate for chaining (empty when saturated). A family supplies only its
+// system builder, its state -> ModelResult assembler, whether its stalled
+// points take the stubborn-point retry, and its zero-load and saturation
+// closed forms.
+//
 // AnalyticalModel fixes a family and a base configuration and exposes
 // solve_at(lambda): substitute lambda (and, for bursty MMPP arrivals, the
-// arrival IDC at that lambda), build the family and solve, with the
-// families' warm-start/continuation contract — warm solves are
-// bit-identical to cold ones, a warm failure falls back to the cold path,
-// and `converged_state` receives the converged iterate for chaining (empty
-// when saturated).
+// arrival IDC at that lambda), build the family and solve.
 //
 // Saturation semantics are uniform: `saturated == true` means the operating
 // point has no steady state (the blank region past the latency asymptote),
@@ -29,7 +34,6 @@
 #include <vector>
 
 #include "model/engine/channel_class.hpp"  // BlockingVariant, ServiceBasis
-#include "model/solver.hpp"
 
 namespace kncube::model {
 
@@ -48,7 +52,6 @@ struct ModelConfig {
   /// Arrival-process index of dispersion (engine/bursty.hpp): 1 = Bernoulli
   /// (the paper's arrivals, bitwise-unchanged results), > 1 = bursty MMPP.
   double arrival_idc = 1.0;
-  FixedPointOptions solver{};
 
   /// Throws std::invalid_argument when a value is out of range for every
   /// family; each family adds the checks for what it cannot represent.
@@ -114,7 +117,7 @@ class AnalyticalModel {
   /// Solves the model at injection rate `lambda`. `warm_start` (optional)
   /// seeds the fixed-point iteration with a nearby converged state;
   /// `converged_state` (optional) receives the converged iterate (empty when
-  /// saturated). See HotspotModel::solve for the full contract.
+  /// saturated). See engine::solve_point for the full contract.
   ModelResult solve_at(double lambda, const std::vector<double>* warm_start,
                        std::vector<double>* converged_state) const;
 

@@ -1,12 +1,20 @@
 #include "model/engine/channel_class.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "model/engine/mg1.hpp"
 #include "util/assert.hpp"
 
 namespace kncube::model::engine {
+
+namespace {
+
+/// The stubborn-point retry (DESIGN.md R7): damping and iteration budget
+/// (a multiple of the default) of the one cold retry a stalled point gets.
+constexpr double kRetryDamping = 0.2;
+constexpr int kRetryBudgetMultiplier = 2;
+
+}  // namespace
 
 std::size_t ChannelClassSystem::ExprHash::operator()(
     const StateExpr& e) const noexcept {
@@ -236,7 +244,7 @@ bool ChannelClassSystem::step(const std::vector<double>& in,
 }
 
 FixedPointResult ChannelClassSystem::solve(std::vector<double>& state,
-                                           const SolvePolicy& policy,
+                                           bool retry_stubborn,
                                            const std::vector<double>* warm_start) const {
   // Every output_continuation reference must already be evaluated within the
   // sweep — a forward reference would read the previous iteration's raw
@@ -260,23 +268,32 @@ FixedPointResult ChannelClassSystem::solve(std::vector<double>& state,
                              std::vector<double>& out) {
     return step(in, out, ws);
   };
+  // Every model point in the repository is iterated here, so this is where
+  // an accelerated iteration (Anderson, secant) would replace the damped
+  // one. The damped map x <- (1-a) x + a F(x) converges locally wherever its
+  // Jacobian (1-a) I + a J_F has spectral radius below 1 at the fixed point;
+  // Brightwell & Luczak (arXiv:1306.5002) study when a routing model's
+  // equilibrium sits at such a contracting fixed point. Where J_F is small
+  // (light load), the damping alone sets the rate, (1-a) per sweep, so
+  // acceleration is safe and would pay; near the knee J_F's radius nears 1,
+  // and the damped stubborn-point retry below stays the safeguard.
+  const FixedPointOptions options;
   // Continuation: try the caller's converged iterate first. Any failure
   // (divergence, non-convergence, a seed from a saturated or mismatched
   // system) falls through to the cold path below, keeping classification
   // identical to a cold solve.
   if (warm_start != nullptr && warm_start->size() == classes_.size()) {
     state = *warm_start;
-    const FixedPointResult warm = solve_fixed_point(state, step_fn, policy.options);
+    const FixedPointResult warm = solve_fixed_point(state, step_fn, options);
     if (warm.converged) return warm;
   }
   state = initial_state();
-  FixedPointResult fp = solve_fixed_point(state, step_fn, policy.options);
-  if (!fp.converged && !fp.diverged && policy.retry_with_stronger_damping) {
-    // Stubborn point near the knee: one retry with stronger damping.
-    FixedPointOptions slower = policy.options;
-    slower.damping = std::min(policy.retry_damping, policy.options.damping);
-    slower.max_iterations =
-        policy.options.max_iterations * policy.retry_iteration_multiplier;
+  FixedPointResult fp = solve_fixed_point(state, step_fn, options);
+  if (!fp.converged && !fp.diverged && retry_stubborn) {
+    // Stubborn point near the knee: one retry with stronger damping (R7).
+    FixedPointOptions slower = options;
+    slower.damping = kRetryDamping;
+    slower.max_iterations = options.max_iterations * kRetryBudgetMultiplier;
     state = initial_state();
     fp = solve_fixed_point(state, step_fn, slower);
   }

@@ -144,15 +144,6 @@ struct EngineOptions {
   double arrival_idc = 1.0;
 };
 
-/// Fixed-point policy: base options plus the stubborn-point retry the models
-/// use near the saturation knee (stronger damping, longer budget).
-struct SolvePolicy {
-  FixedPointOptions options{};
-  bool retry_with_stronger_damping = true;
-  double retry_damping = 0.2;
-  int retry_iteration_multiplier = 2;
-};
-
 /// A declarative channel-class system: slots + blocking groups + evaluation
 /// order. Slots are fixed at construction so builders can lay out and
 /// cross-reference indices before filling in the classes.
@@ -174,23 +165,26 @@ class ChannelClassSystem {
 
   std::vector<double> initial_state() const;
 
-  /// Damped fixed-point solve with the policy's stubborn-point retry.
-  /// `state` holds the converged iterate on success.
+  /// Damped fixed-point solve (default FixedPointOptions). `state` holds the
+  /// converged iterate on success. With `retry_stubborn`, a cold iteration
+  /// that stalls without diverging is retried once with stronger damping
+  /// and a doubled budget (R7). Models reach this only through
+  /// engine::solve_point (engine/solve_point.hpp).
   ///
   /// `warm_start` (optional) seeds the iteration with a previously converged
   /// state for this system's layout — typically the fixed point of a nearby
   /// operating point, cutting the iteration count for continuation sweeps
   /// and saturation bisections. If the warm-started iteration fails for any
   /// reason the solver silently falls back to the zero-load start (plus the
-  /// usual stubborn-point retry), so a warm start can never lose a point the
-  /// cold path would solve; and because converged iterates are polished to
+  /// stubborn-point retry), so a warm start can never lose a point the cold
+  /// path would solve; and because converged iterates are polished to
   /// the map's exact stationary point (see model/solver.hpp), a warm solve
   /// that converges returns results bit-identical to the converged cold
   /// solve. (The converse — a warm seed rescuing a point whose cold budget
   /// would expire without diverging — is possible in principle and would
   /// only add a converged point; see DESIGN.md §6.2.)
-  FixedPointResult solve(std::vector<double>& state, const SolvePolicy& policy,
-                         const std::vector<double>* warm_start = nullptr) const;
+  FixedPointResult solve(std::vector<double>& state, bool retry_stubborn,
+                         const std::vector<double>* warm_start) const;
 
  private:
   // Blocking specs are compiled at registration: every distinct inclusive

@@ -7,10 +7,9 @@
 
 #include "model/engine/channel_class.hpp"
 #include "model/engine/mg1.hpp"
+#include "model/engine/solve_point.hpp"
 #include "model/engine/vcmux.hpp"
 #include "model/path_probabilities.hpp"
-#include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace kncube::model {
 
@@ -50,12 +49,6 @@ struct Layout {
   }
 };
 
-double average(const std::vector<double>& v, int off, int count) {
-  double acc = 0.0;
-  for (int i = 0; i < count; ++i) acc += v[static_cast<std::size_t>(off + i)];
-  return acc / static_cast<double>(count);
-}
-
 /// Entrance service times: the class averages over the uniform remaining
 /// distance 1..k-1 — used both as "network latency at the entrance" and as
 /// the (inclusive) service time of competing traffic of that class.
@@ -80,8 +73,6 @@ class Builder {
         ent_ybar_(StateExpr::average(lay_.ybar, lay_.ns)),
         ent_yhot_(StateExpr::average(lay_.yhot, lay_.ns)),
         ent_x_(StateExpr::average(lay_.x, lay_.ns)) {}
-
-  const Layout& layout() const { return lay_; }
 
   // --- contention-free (transmission) holding times, R8 ---
   // A hot message acquiring the hot-y channel j hops from the hot node keeps
@@ -225,9 +216,9 @@ class Builder {
   }
 
   Entrances entrances(const std::vector<double>& s) const {
-    return Entrances{average(s, lay_.ybar, lay_.ns), average(s, lay_.yhot, lay_.ns),
-                     average(s, lay_.x, lay_.ns), average(s, lay_.xhy, lay_.ns),
-                     average(s, lay_.xyb, lay_.ns)};
+    return Entrances{ent_ybar_.eval(s), ent_yhot_.eval(s), ent_x_.eval(s),
+                     StateExpr::average(lay_.xhy, lay_.ns).eval(s),
+                     StateExpr::average(lay_.xyb, lay_.ns).eval(s)};
   }
 
   /// Final assembly (eqs 10-15, 21-24, 31-37) from the converged state.
@@ -377,8 +368,6 @@ class Builder {
       }
     }
     res.max_channel_utilization = max_util;
-
-    res.saturated = false;
     return true;
   }
 
@@ -402,28 +391,12 @@ HotspotModel::HotspotModel(const ModelConfig& cfg) : cfg_(cfg) {
 ModelResult HotspotModel::solve(const std::vector<double>* warm_start,
                                 std::vector<double>* converged_state) const {
   const Builder builder(cfg_, rates_);
-  ModelResult res;
-  if (converged_state != nullptr) converged_state->clear();
-
-  const ChannelClassSystem sys = builder.build();
-  engine::SolvePolicy policy;
-  policy.options = cfg_.solver;
-  std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, policy, warm_start);
-  res.iterations = fp.iterations;
-  res.converged = fp.converged;
-  if (!fp.converged) {
-    // Diverged or failed to converge: no steady state at this load.
-    res.saturated = true;
-    return res;
-  }
-  if (!builder.assemble(state, res)) {
-    res.saturated = true;
-    res.latency = std::numeric_limits<double>::infinity();
-    return res;
-  }
-  if (converged_state != nullptr) *converged_state = std::move(state);
-  return res;
+  return engine::solve_point(
+      builder.build(), /*retry_stubborn=*/true,
+      [&](const std::vector<double>& s, ModelResult& res) {
+        return builder.assemble(s, res);
+      },
+      warm_start, converged_state);
 }
 
 double HotspotModel::zero_load_latency() const {

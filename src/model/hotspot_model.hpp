@@ -3,11 +3,13 @@
 // Pfister–Norton hot-spot traffic (eqs (1)-(37)).
 //
 // See DESIGN.md §3 for the full equation inventory and the reconstruction
-// notes for the handful of OCR-ambiguous prefactors. The model is solved by
-// damped fixed-point iteration (src/model/solver); operating points whose
-// iteration diverges, fails a utilisation bound, or does not converge are
-// reported as *saturated* — the network has no steady state there, exactly
-// the regime the paper's figures leave blank past the latency asymptote.
+// notes for the handful of OCR-ambiguous prefactors. This file declares the
+// paper's state as a channel-class system and assembles eqs (10)-(15),
+// (21)-(24) and (31)-(37) from its fixed point; engine::solve_point solves
+// it like every other family. Operating points whose iteration diverges,
+// fails a utilisation bound, or does not converge are reported as
+// *saturated* — the network has no steady state there, exactly the regime
+// the paper's figures leave blank past the latency asymptote.
 #pragma once
 
 #include <vector>
@@ -24,15 +26,10 @@ class HotspotModel {
 
   ModelResult solve() const { return solve(nullptr, nullptr); }
 
-  /// Solve with continuation support. `warm_start` (optional) seeds the
-  /// fixed-point iteration with a converged channel-class state from a
-  /// nearby operating point; on any warm failure the solver falls back to
-  /// the zero-load start, so classification matches the cold path, and a
-  /// successful warm solve is bit-identical to the cold one in every field
-  /// but `iterations`, which counts this solve's own sweeps (the solver
-  /// polishes converged iterates to the map's exact stationary point).
-  /// `converged_state` (optional) receives the converged iterate for
-  /// chaining; it is left empty when the point is saturated.
+  /// Solve with continuation support, through engine::solve_point with the
+  /// stubborn-point retry: `warm_start` (optional) seeds the iteration,
+  /// `converged_state` (optional) receives the converged iterate, empty
+  /// when saturated. A saturated point leaves regular_latency at 0.
   ModelResult solve(const std::vector<double>* warm_start,
                     std::vector<double>* converged_state) const;
 

@@ -7,6 +7,7 @@
 
 #include "model/engine/channel_class.hpp"
 #include "model/engine/mg1.hpp"
+#include "model/engine/solve_point.hpp"
 #include "model/engine/vcmux.hpp"
 #include "util/assert.hpp"
 
@@ -50,8 +51,6 @@ class Builder {
     }
   }
 
-  const Lay& layout() const { return lay_; }
-  double lambda_r() const { return lambda_r_; }
   double hot_rate(int d) const { return hot_rate_[static_cast<std::size_t>(d)]; }
 
   /// Contention-free holding time of a dim-d channel: Lm flits plus the
@@ -201,7 +200,6 @@ class Builder {
     res.hot_latency = sh_total;
     res.latency = (1.0 - h) * sr_total + h * sh_total;
     res.max_channel_utilization = max_util;
-    res.saturated = false;
     return true;
   }
 
@@ -248,27 +246,12 @@ ModelResult HypercubeHotspotModel::solve(
     const std::vector<double>* warm_start,
     std::vector<double>* converged_state) const {
   const Builder builder(cfg_);
-  ModelResult res;
-  if (converged_state != nullptr) converged_state->clear();
-
-  const ChannelClassSystem sys = builder.build();
-  engine::SolvePolicy policy;
-  policy.options = cfg_.solver;
-  std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, policy, warm_start);
-  res.iterations = fp.iterations;
-  res.converged = fp.converged;
-  if (!fp.converged) {
-    res.saturated = true;
-    return res;
-  }
-  if (!builder.assemble(state, res)) {
-    res.saturated = true;
-    res.latency = std::numeric_limits<double>::infinity();
-    return res;
-  }
-  if (converged_state != nullptr) *converged_state = std::move(state);
-  return res;
+  return engine::solve_point(
+      builder.build(), /*retry_stubborn=*/true,
+      [&](const std::vector<double>& s, ModelResult& res) {
+        return builder.assemble(s, res);
+      },
+      warm_start, converged_state);
 }
 
 double HypercubeHotspotModel::zero_load_latency() const {

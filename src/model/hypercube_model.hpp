@@ -22,7 +22,7 @@
 //    address bits above d are i.i.d. fair coins);
 //  * per-dimension service times S^r_d, S^h_d close through the same
 //    blocking/waiting primitives (mg1.hpp) and Dally VC chain (vcmux.hpp),
-//    solved by the shared fixed-point driver.
+//    solved by engine::solve_point like every other family.
 #pragma once
 
 #include <vector>
@@ -44,10 +44,10 @@ class HypercubeHotspotModel {
   explicit HypercubeHotspotModel(const ModelConfig& cfg);
 
   ModelResult solve() const { return solve(nullptr, nullptr); }
-  /// Continuation solve: `warm_start` seeds the iteration with a nearby
-  /// converged state (cold fallback on failure, bit-identical on success);
-  /// `converged_state` receives the converged iterate for chaining. Either
-  /// may be null. See HotspotModel::solve for the contract.
+  /// Continuation solve through engine::solve_point with the
+  /// stubborn-point retry: `warm_start` seeds the iteration,
+  /// `converged_state` receives the converged iterate (empty when
+  /// saturated). Either may be null.
   ModelResult solve(const std::vector<double>* warm_start,
                     std::vector<double>* converged_state) const;
 

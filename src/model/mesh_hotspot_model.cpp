@@ -7,10 +7,11 @@
 #include <vector>
 
 #include "model/engine/mg1.hpp"
+#include "model/engine/solve_point.hpp"
 #include "model/engine/vcmux.hpp"
+#include "model/mesh_common.hpp"
 #include "topology/mesh_geometry.hpp"
 #include "topology/torus.hpp"  // topo::kMaxDims
-#include "util/assert.hpp"
 
 namespace kncube::model {
 
@@ -20,6 +21,8 @@ using engine::ChannelClass;
 using engine::ChannelClassSystem;
 using engine::StateExpr;
 using engine::StreamSpec;
+using mesh::add_scaled;
+using mesh::Lin;
 
 /// Mean line distance to the centre coordinate c = k/2 from a uniform
 /// source coordinate — the hot analogue of mesh_mean_line_hops.
@@ -47,36 +50,22 @@ struct Lay {
   /// - link x -> x-1, x = c+1..k-1 (hot flows down toward c).
   int sm(int d, int x) const { return hot_base(d) + np + (x - (c + 1)); }
   int reg_base() const { return n * (np + nm); }
-  int reg(int d, int i) const {
-    return reg_base() + (n - 1 - d) * ns + (ns - 1 - i);
-  }
+  mesh::RegularSlots reg_slots() const { return {reg_base(), k, n}; }
+  int reg(int d, int i) const { return reg_slots()(d, i); }
   int total() const { return reg_base() + n * ns; }
 };
-
-struct Lin {
-  double c = 0.0;
-  std::vector<std::pair<int, double>> terms;
-};
-
-void add_scaled(Lin& out, const Lin& in, double scale) {
-  out.c += scale * in.c;
-  for (const auto& [slot, weight] : in.terms) {
-    out.terms.emplace_back(slot, scale * weight);
-  }
-}
 
 /// Builder: shared geometry, rates and holding times for build + assembly.
 struct Geo {
   const ModelConfig& cfg;
   Lay lay;
-  double lm, h, md_uniform, md_hot;
+  double lm, h, md_hot;
 
   explicit Geo(const ModelConfig& c)
       : cfg(c),
         lay(c.k, c.n),
         lm(static_cast<double>(c.message_length)),
         h(c.hot_fraction),
-        md_uniform(topo::mesh_mean_line_hops(c.k)),
         md_hot(mean_hot_line_hops(c.k)) {}
 
   /// Fraction of dimension-d lines that are hot lines: k^-d.
@@ -111,10 +100,7 @@ struct Geo {
     return lm + static_cast<double>(x - 1 - lay.c) +
            static_cast<double>(lay.n - 1 - d) * md_hot;
   }
-  double tx_reg(int d, int i) const {
-    return lm + static_cast<double>(lay.k - 2 - i) / 2.0 +
-           static_cast<double>(lay.n - 1 - d) * md_uniform;
-  }
+  double tx_reg(int d, int i) const { return mesh::regular_holding_time(cfg, d, i); }
 
   StreamSpec reg_stream(int d, int i) const {
     return {reg_rate(i), StateExpr::slot(lay.reg(d, i)), tx_reg(d, i)};
@@ -148,9 +134,8 @@ struct Geo {
 ///   E_h(n)  = Lm - 1
 ///
 /// plus the uniform-mesh regular recursion with the hot-line blocking
-/// mixture. `eh` and `eh0` (optional) receive the E_h(0) expression and its
-/// zero-load value for the assembly phase.
-ChannelClassSystem build_system(const Geo& geo, Lin* eh_out, double* eh0_out) {
+/// mixture. `eh_out` receives the E_h(0) expression for the assembly.
+ChannelClassSystem build_system(const Geo& geo, Lin& eh_out) {
   const ModelConfig& cfg = geo.cfg;
   const Lay& lay = geo.lay;
   const int k = lay.k;
@@ -231,126 +216,41 @@ ChannelClassSystem build_system(const Geo& geo, Lin* eh_out, double* eh0_out) {
   }
 
   // --- regular classes: uniform-mesh recursion, hot-line blocking mix ----
-  std::vector<Lin> g(static_cast<std::size_t>(n) + 1);
-  std::vector<double> g0(static_cast<std::size_t>(n) + 1, lm - 1.0);
-  g[static_cast<std::size_t>(n)].c = lm - 1.0;
-  std::vector<double> s0(static_cast<std::size_t>(lay.total()), 0.0);
-
-  for (int d = n - 1; d >= 0; --d) {
-    const Lin& cont_g = g[static_cast<std::size_t>(d + 1)];
-    const double cont_g0 = g0[static_cast<std::size_t>(d + 1)];
+  mesh::add_regular_classes(sys, cfg, lay.reg_slots(), [&](int d, int i) {
+    // Blocking mixture over the folded link pair's line type: plain with
+    // probability 1-q_d, else the + or - instance of a hot line (equally
+    // likely under the fold).
     const double qd = geo.q(d);
-    for (int i = k - 2; i >= 0; --i) {
-      const double m = static_cast<double>(k - 1 - i);
-      Lin cont;
-      if (i == k - 2) {
-        add_scaled(cont, cont_g, 1.0);
-      } else {
-        add_scaled(cont, cont_g, 1.0 / m);
-        cont.terms.emplace_back(lay.reg(d, i + 1), (m - 1.0) / m);
-      }
-
-      // Blocking mixture over the folded link pair's line type: plain with
-      // probability 1-q_d, else the + or - instance of a hot line (equally
-      // likely under the fold).
-      engine::BlockingSpec spec;
-      spec.divisor = 1.0;
-      if (qd < 1.0) {
-        spec.terms.push_back({1.0 - qd, geo.reg_stream(d, i), {}});
-      }
-      spec.terms.push_back({qd / 2.0, geo.reg_stream(d, i), geo.hot_on_plus(d, i)});
-      spec.terms.push_back(
-          {qd / 2.0, geo.reg_stream(d, i), geo.hot_on_minus(d, i)});
-
-      ChannelClass cls;
-      cls.name = "mesh";
-      cls.blocking = sys.add_blocking(std::move(spec));
-      double init = 1.0 + cont_g0;
-      if (i < k - 2) {
-        init = 1.0 +
-               (m - 1.0) / m * s0[static_cast<std::size_t>(lay.reg(d, i + 1))] +
-               cont_g0 / m;
-      }
-      s0[static_cast<std::size_t>(lay.reg(d, i))] = init;
-      cls.initial = init;
-      cls.output_continuation =
-          StateExpr::weighted(cont.c, 1.0, std::move(cont.terms));
-      sys.set_class(lay.reg(d, i), std::move(cls));
+    engine::BlockingSpec spec;
+    spec.divisor = 1.0;
+    if (qd < 1.0) {
+      spec.terms.push_back({1.0 - qd, geo.reg_stream(d, i), {}});
     }
-    Lin& gd = g[static_cast<std::size_t>(d)];
-    add_scaled(gd, g[static_cast<std::size_t>(d + 1)],
-               1.0 / static_cast<double>(k));
-    double enter0 = 0.0;
-    for (int i = 0; i < k - 1; ++i) {
-      const double w = topo::mesh_entrance_weight(k, i) *
-                       (static_cast<double>(k - 1) / static_cast<double>(k));
-      gd.terms.emplace_back(lay.reg(d, i), w);
-      enter0 += topo::mesh_entrance_weight(k, i) *
-                s0[static_cast<std::size_t>(lay.reg(d, i))];
-    }
-    g0[static_cast<std::size_t>(d)] =
-        g0[static_cast<std::size_t>(d + 1)] / static_cast<double>(k) +
-        enter0 * (static_cast<double>(k - 1) / static_cast<double>(k));
-  }
+    spec.terms.push_back({qd / 2.0, geo.reg_stream(d, i), geo.hot_on_plus(d, i)});
+    spec.terms.push_back({qd / 2.0, geo.reg_stream(d, i), geo.hot_on_minus(d, i)});
+    return spec;
+  });
 
-  if (eh_out != nullptr) *eh_out = std::move(eh[0]);
-  if (eh0_out != nullptr) *eh0_out = eh0[0];
+  eh_out = std::move(eh[0]);
   return sys;
 }
 
-}  // namespace
-
-MeshHotspotModel::MeshHotspotModel(const ModelConfig& cfg)
-    : cfg_(cfg) {
-  cfg.validate();
-  auto fail = [](const char* m) { throw std::invalid_argument(m); };
-  if (cfg.n > topo::kMaxDims) fail("hotspot-mesh model: n out of range");
-  if (cfg.arrival_idc != 1.0) fail("hotspot-mesh model assumes Bernoulli arrivals");
-}
-
-ModelResult MeshHotspotModel::solve(
-    const std::vector<double>* warm_start,
-    std::vector<double>* converged_state) const {
-  const Geo geo(cfg_);
+/// Final assembly from the converged state: the regular path as in the
+/// uniform mesh, the hot path through E_h(0) (`eh`), a shared per-VC source
+/// queue and per-path multiplexing.
+bool assemble(const Geo& geo, const Lin& eh, const std::vector<double>& state,
+              ModelResult& res) {
+  const ModelConfig& cfg = geo.cfg;
   const Lay& lay = geo.lay;
   const int k = lay.k;
   const int n = lay.n;
   const double lm = geo.lm;
   const double h = geo.h;
 
-  ModelResult res;
-  if (converged_state != nullptr) converged_state->clear();
-
-  Lin eh;
-  double eh0 = 0.0;
-  const ChannelClassSystem sys = build_system(geo, &eh, &eh0);
-  engine::SolvePolicy policy;
-  policy.options = cfg_.solver;
-  std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, policy, warm_start);
-  res.iterations = fp.iterations;
-  res.converged = fp.converged;
-  if (!fp.converged) return res;  // saturated (diverged or no steady state)
-
-  // --- regular network latency: uniform-mesh assembly over the regular
-  // slots (first-correcting-dimension probabilities are exact path counts).
-  const double p_self = std::pow(static_cast<double>(k), -n);
-  std::vector<double> entrance(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> p_first(static_cast<std::size_t>(n), 0.0);
-  double s_net = 0.0;
-  for (int j = 0; j < n; ++j) {
-    double e = 0.0;
-    for (int i = 0; i < k - 1; ++i) {
-      e += topo::mesh_entrance_weight(k, i) *
-           state[static_cast<std::size_t>(lay.reg(j, i))];
-    }
-    entrance[static_cast<std::size_t>(j)] = e;
-    p_first[static_cast<std::size_t>(j)] =
-        std::pow(1.0 / static_cast<double>(k), j) *
-        (static_cast<double>(k - 1) / static_cast<double>(k)) / (1.0 - p_self);
-    s_net += p_first[static_cast<std::size_t>(j)] * e;
-  }
-  res.regular_network_latency = s_net;
+  // --- regular network latency: the uniform-mesh assembly over the
+  // regular slots.
+  const mesh::RegularPaths paths = mesh::regular_paths(cfg, lay.reg_slots(), state);
+  res.regular_network_latency = paths.s_net;
 
   // Hot network latency: E_h(0) evaluated on the converged state.
   double eh_net = eh.c;
@@ -359,17 +259,17 @@ ModelResult MeshHotspotModel::solve(
   }
 
   // --- source wait: per-VC M/G/1 over the h-mixed network service.
-  const double arr = cfg_.injection_rate / static_cast<double>(cfg_.vcs);
-  const double s_mix = (1.0 - h) * s_net + h * eh_net;
+  const double arr = cfg.injection_rate / static_cast<double>(cfg.vcs);
+  const double s_mix = (1.0 - h) * paths.s_net + h * eh_net;
   const QueueDelay ws = mg1_wait(arr, s_mix, lm);
-  if (ws.saturated) return res;
+  if (ws.saturated) return false;
   res.source_wait_regular = ws.value;
 
   // --- VC multiplexing: entrance-weighted per dimension for the regular
   // path (folded-pair mean rate includes the hot share of the line mix) and
   // entry-weighted over the funnel dimension's chains for the hot path.
   const auto mux_service_reg = [&](int d, int i) {
-    return cfg_.vcmux_basis == ServiceBasis::kTransmission
+    return cfg.vcmux_basis == ServiceBasis::kTransmission
                ? geo.tx_reg(d, i)
                : state[static_cast<std::size_t>(lay.reg(d, i))];
   };
@@ -384,12 +284,12 @@ ModelResult MeshHotspotModel::solve(
           qd * 0.5 * (geo.hot_on_plus(j, i).rate + geo.hot_on_minus(j, i).rate);
       vbar += topo::mesh_entrance_weight(k, i) *
               vc_multiplexing_degree(geo.reg_rate(i) + hot_pair,
-                                     mux_service_reg(j, i), cfg_.vcs);
+                                     mux_service_reg(j, i), cfg.vcs);
     }
     if (j == 0) vbar_first = vbar;
     if (j == n - 1) vbar_last = vbar;
-    latency_reg += p_first[static_cast<std::size_t>(j)] *
-                   (entrance[static_cast<std::size_t>(j)] + ws.value) * vbar;
+    latency_reg += paths.p_first[static_cast<std::size_t>(j)] *
+                   (paths.entrance[static_cast<std::size_t>(j)] + ws.value) * vbar;
   }
   res.vc_mux_x = vbar_first;
   res.vc_mux_nonhot_y = vbar_last;
@@ -402,16 +302,16 @@ ModelResult MeshHotspotModel::solve(
     double service = lm;
     if (x < lay.c) {
       rate = geo.sp_rate(fd, x) + geo.reg_rate(x);
-      service = cfg_.vcmux_basis == ServiceBasis::kTransmission
+      service = cfg.vcmux_basis == ServiceBasis::kTransmission
                     ? geo.tx_sp(fd, x)
                     : state[static_cast<std::size_t>(lay.sp(fd, x))];
     } else if (x > lay.c) {
       rate = geo.sm_rate(fd, x) + geo.reg_rate(k - 1 - x);
-      service = cfg_.vcmux_basis == ServiceBasis::kTransmission
+      service = cfg.vcmux_basis == ServiceBasis::kTransmission
                     ? geo.tx_sm(fd, x)
                     : state[static_cast<std::size_t>(lay.sm(fd, x))];
     }
-    vbar_hot += vc_multiplexing_degree(rate, service, cfg_.vcs) /
+    vbar_hot += vc_multiplexing_degree(rate, service, cfg.vcs) /
                 static_cast<double>(k);
   }
   res.vc_mux_hot_y = vbar_hot;
@@ -440,9 +340,31 @@ ModelResult MeshHotspotModel::solve(
     }
   }
   res.max_channel_utilization = std::min(1.0, util);
-  res.saturated = false;
-  if (converged_state != nullptr) *converged_state = std::move(state);
-  return res;
+  return true;
+}
+
+}  // namespace
+
+MeshHotspotModel::MeshHotspotModel(const ModelConfig& cfg)
+    : cfg_(cfg) {
+  cfg.validate();
+  auto fail = [](const char* m) { throw std::invalid_argument(m); };
+  if (cfg.n > topo::kMaxDims) fail("hotspot-mesh model: n out of range");
+  if (cfg.arrival_idc != 1.0) fail("hotspot-mesh model assumes Bernoulli arrivals");
+}
+
+ModelResult MeshHotspotModel::solve(
+    const std::vector<double>* warm_start,
+    std::vector<double>* converged_state) const {
+  const Geo geo(cfg_);
+  Lin eh;
+  const ChannelClassSystem sys = build_system(geo, eh);
+  return engine::solve_point(
+      sys, /*retry_stubborn=*/true,
+      [&](const std::vector<double>& s, ModelResult& res) {
+        return assemble(geo, eh, s, res);
+      },
+      warm_start, converged_state);
 }
 
 double MeshHotspotModel::zero_load_latency() const {

@@ -34,10 +34,10 @@ class MeshHotspotModel {
   explicit MeshHotspotModel(const ModelConfig& cfg);
 
   ModelResult solve() const { return solve(nullptr, nullptr); }
-  /// Continuation solve: `warm_start` seeds the iteration with a nearby
-  /// converged state (cold fallback on failure, bit-identical on success);
-  /// `converged_state` receives the converged iterate for chaining. Either
-  /// may be null. See HotspotModel::solve for the contract.
+  /// Continuation solve through engine::solve_point with the
+  /// stubborn-point retry: `warm_start` seeds the iteration,
+  /// `converged_state` receives the converged iterate (empty when
+  /// saturated). Either may be null.
   ModelResult solve(const std::vector<double>* warm_start,
                     std::vector<double>* converged_state) const;
 

@@ -11,9 +11,10 @@
 // every dimension), each with its own blocking group fed by the exact
 // path-counting rates of src/topology/mesh_geometry.hpp, coupled through the
 // same S = B + 1 + continuation recursion as the paper's eqs (16)-(25) and
-// closed by the same damped warm-started fixed point. DESIGN.md §8 derives
-// the per-class rate and continuation equations and maps each to its paper
-// counterpart.
+// closed by the same damped warm-started fixed point (engine::solve_point).
+// The regular classes are shared with the hot-spot mesh (mesh_common.hpp).
+// DESIGN.md §8 derives the per-class rate and continuation equations and
+// maps each to its paper counterpart.
 #pragma once
 
 #include <vector>
@@ -36,10 +37,10 @@ class MeshUniformModel {
   explicit MeshUniformModel(const ModelConfig& cfg);
 
   ModelResult solve() const { return solve(nullptr, nullptr); }
-  /// Continuation solve: `warm_start` seeds the iteration with a nearby
-  /// converged state (cold fallback on failure, bit-identical on success);
-  /// `converged_state` receives the converged iterate for chaining. Either
-  /// may be null. See HotspotModel::solve for the contract.
+  /// Continuation solve through engine::solve_point with the
+  /// stubborn-point retry: `warm_start` seeds the iteration,
+  /// `converged_state` receives the converged iterate (empty when
+  /// saturated). Either may be null.
   ModelResult solve(const std::vector<double>* warm_start,
                     std::vector<double>* converged_state) const;
 

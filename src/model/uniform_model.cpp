@@ -6,8 +6,8 @@
 
 #include "model/engine/channel_class.hpp"
 #include "model/engine/mg1.hpp"
+#include "model/engine/solve_point.hpp"
 #include "model/engine/vcmux.hpp"
-#include "util/assert.hpp"
 
 namespace kncube::model {
 
@@ -24,12 +24,6 @@ struct Lay {
   explicit Lay(int k) : ns(k - 1), y(0), x(ns), xy(2 * ns), total(3 * ns) {}
   int at(int base, int j) const { return base + j - 1; }
 };
-
-double avg(const std::vector<double>& v, int off, int n) {
-  double a = 0.0;
-  for (int i = 0; i < n; ++i) a += v[static_cast<std::size_t>(off + i)];
-  return a / static_cast<double>(n);
-}
 
 // Contention-free holding times (R8): same formulas as the hot-spot model's
 // regular streams, so the h = 0 cross-check is structural. One definition
@@ -103,6 +97,44 @@ ChannelClassSystem build_system(const ModelConfig& cfg, double lc) {
   return sys;
 }
 
+/// Final assembly from the converged state: exact path-class
+/// probabilities under uniform destinations, the per-VC source queue and
+/// transmission-basis multiplexing, matching the hot-spot model's default.
+bool assemble(const ModelConfig& cfg, double lc, const std::vector<double>& state,
+              ModelResult& res) {
+  const int k = cfg.k;
+  const double lm = static_cast<double>(cfg.message_length);
+  const Lay lay(k);
+  const double ey = StateExpr::average(lay.y, lay.ns).eval(state);
+  const double ex = StateExpr::average(lay.x, lay.ns).eval(state);
+  const double exy = StateExpr::average(lay.xy, lay.ns).eval(state);
+
+  const double n = static_cast<double>(k) * static_cast<double>(k);
+  const double p_xonly = (static_cast<double>(k) - 1.0) / (n - 1.0);
+  const double p_yonly = p_xonly;
+  const double p_xy = (static_cast<double>(k) - 1.0) * (static_cast<double>(k) - 1.0) /
+                      (n - 1.0);
+
+  const double s_net = p_xonly * ex + p_xy * exy + p_yonly * ey;
+  res.regular_network_latency = s_net;
+
+  const double arr = cfg.injection_rate / static_cast<double>(cfg.vcs);
+  const QueueDelay ws = mg1_wait(arr, s_net, lm, cfg.arrival_idc);
+  if (ws.saturated) return false;
+  res.source_wait_regular = ws.value;
+
+  const auto [tx_y, tx_x] = holding_times(k, lm);
+  res.vc_mux_x = vc_multiplexing_degree(lc, tx_x, cfg.vcs);
+  res.vc_mux_hot_y = vc_multiplexing_degree(lc, tx_y, cfg.vcs);
+  res.vc_mux_nonhot_y = res.vc_mux_hot_y;
+
+  res.latency = p_xonly * (ex + ws.value) * res.vc_mux_x +
+                p_xy * (exy + ws.value) * res.vc_mux_x +
+                p_yonly * (ey + ws.value) * res.vc_mux_hot_y;
+  res.max_channel_utilization = std::min(1.0, lc * ex);
+  return true;
+}
+
 }  // namespace
 
 UniformTorusModel::UniformTorusModel(const ModelConfig& cfg) : cfg_(cfg) {
@@ -124,57 +156,16 @@ double UniformTorusModel::channel_rate() const noexcept {
 ModelResult UniformTorusModel::solve(
     const std::vector<double>* warm_start,
     std::vector<double>* converged_state) const {
-  const int k = cfg_.k;
-  const double lm = static_cast<double>(cfg_.message_length);
   const double lc = channel_rate();
-  const Lay lay(k);
-
-  ModelResult res;
-  res.regular_latency = res.latency;  // all traffic is regular
-  if (converged_state != nullptr) converged_state->clear();
-
-  const ChannelClassSystem sys = build_system(cfg_, lc);
-  engine::SolvePolicy policy;
-  policy.options = cfg_.solver;
-  policy.retry_with_stronger_damping = false;
-  std::vector<double> state;
-  const FixedPointResult fp = sys.solve(state, policy, warm_start);
-  res.iterations = fp.iterations;
-  res.converged = fp.converged;
-  if (!fp.converged) return res;  // saturated (diverged or no steady state)
-
-  const double ey = avg(state, lay.y, lay.ns);
-  const double ex = avg(state, lay.x, lay.ns);
-  const double exy = avg(state, lay.xy, lay.ns);
-
-  // Exact path-class probabilities under uniform destinations.
-  const double n = static_cast<double>(k) * static_cast<double>(k);
-  const double p_xonly = (static_cast<double>(k) - 1.0) / (n - 1.0);
-  const double p_yonly = p_xonly;
-  const double p_xy = (static_cast<double>(k) - 1.0) * (static_cast<double>(k) - 1.0) /
-                      (n - 1.0);
-
-  const double s_net = p_xonly * ex + p_xy * exy + p_yonly * ey;
-  res.regular_network_latency = s_net;
-
-  const double arr = cfg_.injection_rate / static_cast<double>(cfg_.vcs);
-  const QueueDelay ws = mg1_wait(arr, s_net, lm, cfg_.arrival_idc);
-  if (ws.saturated) return res;
-  res.source_wait_regular = ws.value;
-
-  // Transmission-basis occupancy, matching the hot-spot model's default.
-  const auto [tx_y, tx_x] = holding_times(k, lm);
-  res.vc_mux_x = vc_multiplexing_degree(lc, tx_x, cfg_.vcs);
-  res.vc_mux_hot_y = vc_multiplexing_degree(lc, tx_y, cfg_.vcs);
-  res.vc_mux_nonhot_y = res.vc_mux_hot_y;
-
-  res.latency = p_xonly * (ex + ws.value) * res.vc_mux_x +
-                p_xy * (exy + ws.value) * res.vc_mux_x +
-                p_yonly * (ey + ws.value) * res.vc_mux_hot_y;
-  res.regular_latency = res.latency;
-  res.max_channel_utilization = std::min(1.0, lc * ex);
-  res.saturated = false;
-  if (converged_state != nullptr) *converged_state = std::move(state);
+  // The only family without the stubborn-point retry: it keeps the solve of
+  // the pre-engine uniform model, which engine_parity_test pins it against.
+  ModelResult res = engine::solve_point(
+      build_system(cfg_, lc), /*retry_stubborn=*/false,
+      [&](const std::vector<double>& s, ModelResult& r) {
+        return assemble(cfg_, lc, s, r);
+      },
+      warm_start, converged_state);
+  res.regular_latency = res.latency;  // all traffic is regular (+inf if saturated)
   return res;
 }
 

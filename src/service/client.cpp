@@ -146,7 +146,9 @@ StatsMsg Client::server_stats() {
 
 Client::SweepOutcome Client::run(const core::ScenarioSpec& spec,
                                  Request params) {
-  params.id = "r" + std::to_string(next_id_++);
+  // Built in place: GCC 12 misreports `"r" + std::to_string(...)` here as
+  // a -Wrestrict overlap.
+  params.id.assign(1, 'r').append(std::to_string(next_id_++));
   params.spec_text = core::format_scenario(spec);
 
   send_line("REQUEST " + params.id);

@@ -19,8 +19,8 @@
 // strictly monotone, so {m : fires} is exactly [0, T) for an integer
 // threshold T computed once per rate. The kernel compares (x >> 11) < T in
 // pure integer arithmetic — the same predicate, no floating point in the
-// loop, identical on every lane width (scalar, auto-vectorized, or the
-// explicit AVX2 path compiled under KNCUBE_NATIVE_ARCH).
+// loop, identical on every lane width (scalar or auto-vectorized, with or
+// without KNCUBE_NATIVE_ARCH's -march=native).
 //
 // Dead nodes (fault overlay) never advance their stream — their lanes are
 // masked out with a blend, matching the scalar loop's `continue` — so
@@ -78,11 +78,6 @@ class ArrivalBatch {
     s2_[id] = s[2];
     s3_[id] = s[3];
   }
-
-  /// True when the explicit-width SIMD kernel is compiled in (build under
-  /// KNCUBE_NATIVE_ARCH on an AVX2 host); the scalar kernel is the fallback
-  /// and produces bit-identical results.
-  static bool explicit_simd();
 
  private:
   void generate_bernoulli();

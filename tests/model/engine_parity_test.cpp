@@ -80,7 +80,7 @@ Outcome uniform_solve(const ModelConfig& cfg) {
     return true;
   };
 
-  const FixedPointResult fp = solve_fixed_point(state, step, cfg.solver);
+  const FixedPointResult fp = solve_fixed_point(state, step, FixedPointOptions{});
   if (!fp.converged) return res;
 
   const double ey = avg(state, y);
@@ -130,11 +130,11 @@ class HotspotReference {
     auto step = [this](const std::vector<double>& in, std::vector<double>& out) {
       return this->step_fn(in, out);
     };
-    FixedPointResult fp = solve_fixed_point(state, step, cfg_.solver);
+    FixedPointResult fp = solve_fixed_point(state, step, FixedPointOptions{});
     if (!fp.converged && !fp.diverged) {
-      FixedPointOptions slower = cfg_.solver;
-      slower.damping = std::min(0.2, cfg_.solver.damping);
-      slower.max_iterations = cfg_.solver.max_iterations * 2;
+      FixedPointOptions slower;
+      slower.damping = std::min(0.2, slower.damping);
+      slower.max_iterations = slower.max_iterations * 2;
       state = initial_state();
       fp = solve_fixed_point(state, step, slower);
     }
@@ -463,11 +463,11 @@ Outcome hypercube_solve(const ModelConfig& cfg) {
   };
 
   Outcome res;
-  FixedPointResult fp = solve_fixed_point(state, step, cfg.solver);
+  FixedPointResult fp = solve_fixed_point(state, step, FixedPointOptions{});
   if (!fp.converged && !fp.diverged) {
-    FixedPointOptions slower = cfg.solver;
-    slower.damping = std::min(0.2, cfg.solver.damping);
-    slower.max_iterations = cfg.solver.max_iterations * 2;
+    FixedPointOptions slower;
+    slower.damping = std::min(0.2, slower.damping);
+    slower.max_iterations = slower.max_iterations * 2;
     state = initial;
     fp = solve_fixed_point(state, step, slower);
   }

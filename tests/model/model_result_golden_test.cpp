@@ -24,6 +24,7 @@
 
 #include "core/model_registry.hpp"
 #include "core/scenario_spec.hpp"
+#include "registry_family_specs.hpp"
 
 namespace kncube::model {
 namespace {
@@ -54,17 +55,9 @@ bool print_mode() { return std::getenv("KNCUBE_PRINT_GOLDEN") != nullptr; }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-const std::string kTorus8 =
-    "topology.kind=torus\ntopology.k=8\ntopology.n=2\ntopology.bidirectional=false\n";
-const std::string kMesh8 = "topology.kind=mesh\ntopology.k=8\ntopology.n=2\n";
-const std::string kHot = "traffic.kind=hotspot\ntraffic.hot_fraction=0.2\n";
-const std::string kUniform = "traffic.kind=uniform\n";
-const std::string kMmpp =
-    "arrivals.kind=mmpp\narrivals.burst_multiplier=4\n"
-    "arrivals.p_enter_burst=0.02\narrivals.p_leave_burst=0.08\n";
-
-void check_family(const char* family, const std::string& spec_text,
-                  const FamilyPins& want) {
+void check_family(const char* family, const FamilyPins& want) {
+  const std::string spec_text = test_specs::registry_family_spec(family);
+  ASSERT_FALSE(spec_text.empty()) << family;
   const core::ModelDispatch d =
       core::make_analytical_model(core::parse_scenario(spec_text));
   ASSERT_TRUE(d.has_model()) << family << ": " << d.sim_only_reason;
@@ -113,8 +106,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(ModelResultGolden, HotspotTorus) {
   check_family("hotspot-torus",
-               kTorus8 + kHot +
-                   "router.vcs=3\nworkload.message_length=16\nmodel.vcmux_basis=inclusive\n",
                {0x1.61c71c71c71c8p+4, 0x1.d41d41d41d41cp-9,
                 {{0x1.c1bbf7927334bp-12, 0x1.7abfedcc184fbp+4, false, true, 32,
                   0x1.7948a60391c43p+4, 0x1.809d0cee327d8p+4, 0x1.6332e6126e16cp+4,
@@ -135,7 +126,7 @@ TEST(ModelResultGolden, HotspotTorus) {
 }
 
 TEST(ModelResultGolden, UniformTorus) {
-  check_family("uniform-torus", kTorus8 + kUniform,
+  check_family("uniform-torus",
                {0x1.30e38e38e38e3p+5, 0x1.e65a3dbe74d6bp-8,
                 {{0x1.3023b43a2ecffp-11, 0x1.66341e4c93c07p+5, false, true, 32,
                   0x1.66341e4c93c07p+5, 0x0p+0, 0x1.37590035006f5p+5,
@@ -156,8 +147,7 @@ TEST(ModelResultGolden, UniformTorus) {
 }
 
 TEST(ModelResultGolden, HotspotHypercube) {
-  check_family("hotspot-hypercube", "topology.kind=hypercube\ntopology.dims=6\n" + kHot +
-                   "model.busy_basis=inclusive\n",
+  check_family("hotspot-hypercube",
                {0x1.1061861861862p+5, 0x1.240cc6f58124p-8,
                 {{0x1.df4dd8d0e70dcp-12, 0x1.16c1e92d1fa8fp+5, false, true, 26,
                   0x1.15c53f3a8c82cp+5, 0x1.1ab490f76c419p+5, 0x0p+0,
@@ -178,8 +168,7 @@ TEST(ModelResultGolden, HotspotHypercube) {
 }
 
 TEST(ModelResultGolden, UniformMesh) {
-  check_family("uniform-mesh", kMesh8 + kUniform +
-                   "router.vcs=3\nworkload.message_length=16\nmodel.blocking=pure_wait\n",
+  check_family("uniform-mesh",
                {0x1.4555555555555p+4, 0x1.90b21642c8591p-6,
                 {{0x1.0e66cb10342abp-9, 0x1.b62012d76b15cp+4, false, true, 31,
                   0x1.b62012d76b15cp+4, 0x0p+0, 0x1.7e808bdad62ddp+4,
@@ -201,7 +190,6 @@ TEST(ModelResultGolden, UniformMesh) {
 
 TEST(ModelResultGolden, HotspotMesh) {
   check_family("hotspot-mesh",
-               kMesh8 + kHot + "workload.message_length=16\nmodel.busy_basis=inclusive\n",
                {0x1.4111111111111p+4, 0x1.fe613716aefccp-8,
                 {{0x1.8ee0d8f34bbc9p-11, 0x1.557d310a1a132p+4, false, true, 27,
                   0x1.56230602051cbp+4, 0x1.52e5dd2a6deccp+4, 0x1.45ded6212ed63p+4,
@@ -222,7 +210,7 @@ TEST(ModelResultGolden, HotspotMesh) {
 }
 
 TEST(ModelResultGolden, MmppHotspotTorus) {
-  check_family("mmpp-hotspot-torus", kTorus8 + kHot + kMmpp + "workload.message_length=16\n",
+  check_family("mmpp-hotspot-torus",
                {0x1.61c71c71c71c8p+4, 0x1.d41d41d41d41cp-9,
                 {{0x1.c05f0040979fcp-12, 0x1.7c247da138b41p+4, false, true, 32,
                   0x1.7acb138c6134ep+4, 0x1.818a25f496b08p+4, 0x1.633696dd799eap+4,
@@ -243,7 +231,7 @@ TEST(ModelResultGolden, MmppHotspotTorus) {
 }
 
 TEST(ModelResultGolden, MmppUniformTorus) {
-  check_family("mmpp-uniform-torus", kTorus8 + kUniform + kMmpp + "workload.message_length=16\n",
+  check_family("mmpp-uniform-torus",
                {0x1.61c71c71c71c7p+4, 0x1.a01a01a01a01ap-7,
                 {{0x1.f4da32101d847p-11, 0x1.9ced288df7a8fp+4, false, true, 32,
                   0x1.9ced288df7a8fp+4, 0x0p+0, 0x1.68a67238d574dp+4,

@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,11 +22,64 @@
 #include "model/hypercube_model.hpp"
 #include "model/mesh_model.hpp"
 #include "model/uniform_model.hpp"
+#include "registry_family_specs.hpp"
 
 namespace kncube::model {
 namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every ModelResult field but `iterations`, which counts a solve's own
+/// sweeps and so depends on where it started.
+void expect_equal_but_iterations(const ModelResult& cold, const ModelResult& warm,
+                                 const std::string& ctx) {
+  EXPECT_EQ(bits(cold.latency), bits(warm.latency)) << ctx;
+  EXPECT_EQ(cold.saturated, warm.saturated) << ctx;
+  EXPECT_EQ(cold.converged, warm.converged) << ctx;
+  EXPECT_EQ(bits(cold.regular_latency), bits(warm.regular_latency)) << ctx;
+  EXPECT_EQ(bits(cold.hot_latency), bits(warm.hot_latency)) << ctx;
+  EXPECT_EQ(bits(cold.regular_network_latency), bits(warm.regular_network_latency))
+      << ctx;
+  EXPECT_EQ(bits(cold.source_wait_regular), bits(warm.source_wait_regular)) << ctx;
+  EXPECT_EQ(bits(cold.vc_mux_x), bits(warm.vc_mux_x)) << ctx;
+  EXPECT_EQ(bits(cold.vc_mux_hot_y), bits(warm.vc_mux_hot_y)) << ctx;
+  EXPECT_EQ(bits(cold.vc_mux_nonhot_y), bits(warm.vc_mux_nonhot_y)) << ctx;
+  EXPECT_EQ(bits(cold.max_channel_utilization), bits(warm.max_channel_utilization))
+      << ctx;
+}
+
+TEST(WarmStart, EveryRegistryFamilyKeepsTheSolveContract) {
+  // Every family solves through the one engine path, so every family owes
+  // the same contract: across an ascending chain that crosses the knee, a
+  // warm-started solve equals the cold one in every field but `iterations`,
+  // and the converged state comes back exactly when the point is stable.
+  for (const test_specs::FamilySpec& f : test_specs::registry_family_specs()) {
+    const core::ScenarioSpec spec = core::parse_scenario(f.text);
+    const core::ModelDispatch d = core::make_analytical_model(spec);
+    ASSERT_TRUE(d.has_model()) << f.family;
+    ASSERT_STREQ(d.model->name(), f.family);
+    const double sat = core::model_saturation_rate(spec, 1e-4).rate;
+    ASSERT_GT(sat, 0.0) << f.family;
+
+    std::vector<double> chain;  // converged state of the previous stable point
+    int saturated_points = 0;
+    for (double frac : {0.1, 0.4, 0.7, 0.9, 0.99, 1.02, 1.5, 3.0}) {
+      const double lambda = frac * sat;
+      const std::string ctx = std::string(f.family) + " f=" + std::to_string(frac);
+      std::vector<double> cold_state(1, -1.0);  // non-empty: must be cleared
+      const ModelResult cold = d.model->solve_at(lambda, nullptr, &cold_state);
+      std::vector<double> warm_state(1, -1.0);
+      const ModelResult warm =
+          d.model->solve_at(lambda, chain.empty() ? nullptr : &chain, &warm_state);
+      expect_equal_but_iterations(cold, warm, ctx);
+      EXPECT_EQ(cold_state.empty(), cold.saturated) << ctx;
+      EXPECT_EQ(warm_state.empty(), warm.saturated) << ctx;
+      if (!warm_state.empty()) chain = std::move(warm_state);
+      saturated_points += cold.saturated ? 1 : 0;
+    }
+    EXPECT_GT(saturated_points, 0) << f.family << ": the chain never crossed the knee";
+  }
+}
 
 TEST(WarmStart, HotspotChainIsBitIdenticalIncludingKnee) {
   for (int k : {8, 16}) {
